@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal, ROUND_HALF_UP, localcontext
 from typing import Optional, Sequence
 
 from .baselines import bentkus_pvalue, compare, hoeffding_tight_pvalue
@@ -48,6 +48,9 @@ DEFAULT_COMPARE_GRID: tuple[float, ...] = (
 
 DEFAULT_PLOT_POINTS = 1000
 DIGITS_ENV_VAR = "PRWTEST_DIGITS"
+# Most decimals --digits may ask for.  A double holds 17 significant digits,
+# so 27 decimals already show every value above 1e-10 in full.
+MAX_DIGITS = 27
 
 
 class DataError(Exception):
@@ -116,16 +119,23 @@ def read_loss_csv(path: str) -> LossSample:
 
 
 def round_half_away(value: float, digits: int) -> Decimal:
-    """Round to `digits` decimals with ties going away from zero."""
+    """Round to `digits` decimals with ties going away from zero.
+
+    The decimal context is widened to hold every digit of the result, so
+    unclamped bound values far above 1 round as exactly as p-values do.
+    """
+    exact = Decimal(value)
     quantum = Decimal(1).scaleb(-digits) if digits > 0 else Decimal(1)
-    return Decimal(value).quantize(quantum, rounding=ROUND_HALF_UP)
+    with localcontext() as context:
+        context.prec = max(context.prec, exact.adjusted() + digits + 2)
+        return exact.quantize(quantum, rounding=ROUND_HALF_UP)
 
 
 def _resolve_digits(value: Optional[int]) -> int:
-    """Explicit --digits, else the env override, else 4."""
+    """Explicit --digits, else the env override, else 4; within [0, MAX_DIGITS]."""
     if value is not None:
-        if value < 0:
-            raise DataError(f"--digits must be non-negative, got {value}")
+        if not 0 <= value <= MAX_DIGITS:
+            raise DataError(f"--digits must lie in [0, {MAX_DIGITS}], got {value}")
         return value
     raw = os.environ.get(DIGITS_ENV_VAR)
     if raw is None:
@@ -134,8 +144,8 @@ def _resolve_digits(value: Optional[int]) -> int:
         digits = int(raw)
     except ValueError:
         raise DataError(f"{DIGITS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if digits < 0:
-        raise DataError(f"{DIGITS_ENV_VAR} must be non-negative, got {raw!r}")
+    if not 0 <= digits <= MAX_DIGITS:
+        raise DataError(f"{DIGITS_ENV_VAR} must lie in [0, {MAX_DIGITS}], got {raw!r}")
     return digits
 
 

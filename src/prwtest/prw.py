@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -185,10 +186,11 @@ def g_inverse(delta: float, ctx: GBoundContext) -> float:
     """Largest grid point j/n whose bound value is still <= delta.
 
     The bound is a left-continuous step function jumping only at the grid
-    points {0, 1/n, ..., (gamma-1)/n}, so the scan over those points is
-    exact; no root finding is involved.  The boundary point (gamma-1)/n
-    never qualifies because its value is clamped to at least 1.  Satisfies
-    ``g(g_inverse(delta)) <= delta``.
+    points {0, 1/n, ..., (gamma-1)/n}, and its values there are
+    non-decreasing, so a bisection over j in [0, gamma-2] is exact and needs
+    O(log gamma) bound evaluations; no root finding is involved.  The
+    boundary point (gamma-1)/n never qualifies because its value is clamped
+    to at least 1.  Satisfies ``g(g_inverse(delta)) <= delta``.
 
     Raises
     ------
@@ -204,16 +206,15 @@ def g_inverse(delta: float, ctx: GBoundContext) -> float:
             "the bound's domain holds only its boundary point, whose value is "
             "at least 1; no delta < 1 is attainable"
         )
-    best = -1
-    for j in range(ctx.gamma - 1):
-        if lower_tail_bound(ctx.n, ctx.mean, j) <= delta:
-            best = j
-    if best < 0:
+    count = bisect_right(
+        range(ctx.gamma - 1), delta, key=lambda j: lower_tail_bound(ctx.n, ctx.mean, j)
+    )
+    if count == 0:
         raise ValueError(
             f"delta={delta} is below the smallest attainable bound value "
             f"(1 - mean)**n = {(1.0 - ctx.mean) ** ctx.n}"
         )
-    return best / ctx.n
+    return (count - 1) / ctx.n
 
 
 def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:

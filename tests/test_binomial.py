@@ -5,12 +5,13 @@ Frozen expected values were computed with the exact rational oracle in
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prwtest.binomial import BinomialParams, cdf, log_pmf, sf
+from prwtest.binomial import BinomialParams, _tail_table, cdf, log_pmf, sf
 
 from _oracle import binom_cdf_exact, binom_sf_exact, rel_err
 
@@ -161,3 +162,101 @@ def test_cdf_large_n_sane(n, p, frac):
     k = min(n - 1, int(frac * n))
     v = cdf(BinomialParams(n, p), k)
     assert 0.0 <= v <= 1.0
+
+
+def exact_lower_tails(n, p, ks):
+    """{k: numerator of P(Bin(n, p) <= k)} over the common denominator d**n.
+
+    p is taken as the exact value of its float, a/d.  Sums run by Horner's
+    rule in integers from whichever end of the support is nearer, so the
+    cost grows with min(k, n - k) rather than n: the lower end sums
+    C(n, j) a**j c**(k-j) upward, the upper end C(n, j) c**(n-j) a**(j-t)
+    downward and takes the complement exactly.
+    """
+    f = Fraction(p)
+    a, d = f.numerator, f.denominator
+    c = d - a
+    dn = d**n
+    out = {}
+    acc, comb, apow, rest, j = 0, 1, 1, c ** (n + 1), 0
+    for k in sorted(k for k in ks if 2 * k < n):
+        while j <= k:
+            acc = acc * c + comb * apow
+            comb = comb * (n - j) // (j + 1)
+            apow *= a
+            rest //= c
+            j += 1
+        out[k] = acc * rest  # rest == c**(n - k)
+    acc, comb, cpow, rest, j = 0, 1, 1, a**n, n
+    for k in sorted((k for k in ks if 2 * k >= n), reverse=True):
+        # the lower tail through k is 1 minus the upper tail from k + 1
+        while j > k:
+            acc = acc * a + comb * cpow
+            comb = comb * j // (n - j + 1)
+            cpow *= c
+            rest //= a
+            j -= 1
+        out[k] = dn - acc * rest * a  # rest == a**k
+    return out, dn
+
+
+def table_samples(n, p):
+    """Both deep tails, the neighbourhood of the mode, and the calibrate range.
+
+    At (5000, 0.1), k = 0 gives cdf = 0.9**5000 ~ 1.6e-229 (the calibrate
+    p-value at rhat = 0) and t = n gives sf = 0.1**5000, which is 0.0.
+    """
+    mode = math.floor((n + 1) * p)
+    ks = {0, 1, 2, n - 3, n - 2, n - 1, n}
+    ks |= set(range(max(0, mode - 5), min(n, mode + 6)))
+    ks |= set(range(max(0, int(n * p) - 300), min(n, int(n * p) + 300), 37))
+    if (n, p) == (5000, 0.1):
+        ks |= set(range(200, 651, 9))
+    return sorted(ks)
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_table_matches_exact_rationals(n, p):
+    ks = table_samples(n, p)
+    lower, dn = exact_lower_tails(n, p, ks + [k - 1 for k in ks])
+    params = BinomialParams(n, p)
+    for k in ks:
+        want_cdf = lower[k] / dn
+        want_sf = (dn - lower[k - 1]) / dn
+        assert abs(cdf(params, k) - want_cdf) <= REL * want_cdf, ("cdf", k)
+        assert abs(sf(params, k) - want_sf) <= REL * want_sf, ("sf", k)
+
+
+def test_tail_below_smallest_subnormal_is_zero():
+    params = BinomialParams(10000, 0.5)
+    assert cdf(params, 0) == 0.0
+    assert sf(params, 10000) == 0.0
+    # by symmetry P(X <= n/2) = 1/2 + P(X = n/2)/2
+    want = Fraction(1, 2) + Fraction(math.comb(10000, 5000), 2**10001)
+    assert rel_err(cdf(params, 5000), want) <= REL
+
+
+def test_smallest_subnormal_survives():
+    # P(Bin(1074, 1/2) = 0) = 2**-1074, the smallest positive double
+    params = BinomialParams(1074, 0.5)
+    assert cdf(params, 0) == 5e-324
+    assert sf(params, 1074) == 5e-324
+
+
+def test_tables_are_cached_per_law():
+    params = BinomialParams(777, 0.3)
+    cdf(params, 1)
+    hits = _tail_table.cache_info().hits
+    sf(params, 500)
+    cdf(params, 200)
+    assert _tail_table.cache_info().hits == hits + 2
+    assert _tail_table.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("n,p", [(40, 0.3), (1, 0.4), (2, 0.999999), (60, 1e-300)])
+def test_scalar_results_are_python_floats(n, p):
+    params = BinomialParams(n, p)
+    for k in range(n + 1):
+        assert type(cdf(params, k)) is float
+        assert type(sf(params, k)) is float

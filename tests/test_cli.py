@@ -1,6 +1,9 @@
 """CLI contract tests: golden table, flag handling, exit codes, JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from prwtest.cli import (
     parse_grid,
     read_loss_csv,
 )
+from prwtest.prw import TestSpec, prw_pvalue
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN = DATA_DIR / "compare_default.csv"
@@ -353,3 +357,56 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["pvalue"])  # --alpha is required
         assert exc.value.code == 2
+
+
+class TestDigits:
+    @pytest.mark.parametrize("digits", ["28", "29", "40", "-1"])
+    @pytest.mark.parametrize("command", ["pvalue", "compare"])
+    def test_out_of_range_flag_exits_2_without_output(self, capsys, command, digits):
+        argv = [command, "--digits", digits]
+        if command == "pvalue":
+            argv += ["--rhat", "0.05", "--n", "100", "--alpha", "0.1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --digits must lie in [0, 27]")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("digits", ["28", "29"])
+    def test_out_of_range_env_exits_2_without_output(self, capsys, monkeypatch, digits):
+        monkeypatch.setenv("PRWTEST_DIGITS", digits)
+        code, out, err = run(capsys, "pvalue", "--rhat", "0.05", "--n", "100", "--alpha", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: PRWTEST_DIGITS must lie in [0, 27], got '{digits}'\n"
+
+    def test_largest_count_prints_one(self, capsys):
+        code, out, _ = run(capsys, "pvalue", "--rhat", "0.5", "--n", "100", "--alpha", "0.1",
+                           "--digits", "27")
+        assert code == 0
+        one = "1." + "0" * 27
+        assert out.splitlines()[1] == ",".join(["0.5" + "0" * 26, one, one, one])
+
+    def test_unclamped_value_above_ten_rounds(self, capsys):
+        # n*alpha sits just past the snap tolerance above 5, so the leading
+        # factor of the raw bound at k = 5 is of order 1e9
+        code, out, _ = run(capsys, "pvalue", "--rhat", "0.05", "--n", "100",
+                           "--alpha", "0.05000000006", "--method", "prw", "--unclamped",
+                           "--digits", "27", "--format", "json")
+        assert code == 0
+        raw = prw_pvalue(0.05, TestSpec(100, 0.05000000006), clamp=False)
+        assert raw > 1e8
+        assert json.loads(out)["pvalues"]["prw"] == raw
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "prwtest", "compare"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert result.stdout == GOLDEN.read_text(encoding="utf-8")

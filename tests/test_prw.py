@@ -6,6 +6,7 @@ post-rounding as well.
 """
 
 import math
+import random
 from decimal import Decimal, ROUND_HALF_UP
 
 import pytest
@@ -282,6 +283,45 @@ def test_g_inverse_round_trip(n, mean, u):
     j_star = round(t_star * n)
     if j_star + 1 <= ctx.gamma - 1:
         assert g((j_star + 1) / n, ctx) > delta
+
+
+def g_inverse_by_scan(delta, ctx):
+    """The linear scan g_inverse replaced: the last grid point whose step is <= delta."""
+    best = -1
+    for j in range(ctx.gamma - 1):
+        if lower_tail_bound(ctx.n, ctx.mean, j) <= delta:
+            best = j
+    if best < 0:
+        raise ValueError("no grid point qualifies")
+    return best / ctx.n
+
+
+def test_g_inverse_bisection_equals_scan():
+    rng = random.Random(20240515)
+    checked = underflowing = 0
+    for _ in range(300):
+        n = rng.choice((rng.randint(2, 60), rng.randint(2, 2000)))
+        ctx = GBoundContext.from_mean(n, rng.uniform(0.001, 0.999))
+        if ctx.gamma < 2:
+            continue
+        underflowing += lower_tail_bound(ctx.n, ctx.mean, 0) == 0.0
+        if rng.random() < 0.5:
+            # exactly on a step value: ties must count as qualifying
+            delta = lower_tail_bound(ctx.n, ctx.mean, rng.randrange(ctx.gamma - 1))
+        else:
+            delta = 10.0 ** rng.uniform(-320, 0)
+        if not 0.0 < delta < 1.0:
+            continue
+        checked += 1
+        try:
+            want = g_inverse_by_scan(delta, ctx)
+        except ValueError:
+            with pytest.raises(ValueError, match="below the smallest attainable"):
+                g_inverse(delta, ctx)
+            continue
+        assert g_inverse(delta, ctx) == want, (n, ctx.mean, delta)
+    assert checked >= 200
+    assert underflowing >= 20  # the draws reach contexts whose first steps are 0.0
 
 
 class TestPrwPvalue:
