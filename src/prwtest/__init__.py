@@ -34,7 +34,6 @@ from .mc import (
     simulate_power,
     simulate_superuniformity,
 )
-from .cli import LossSample, read_loss_csv
 
 __version__ = "0.1.0"
 
@@ -67,7 +66,5 @@ __all__ = [
     "PVALUE_METHODS",
     "simulate_superuniformity",
     "simulate_power",
-    "LossSample",
-    "read_loss_csv",
     "__version__",
 ]

@@ -55,7 +55,8 @@ def kl_bernoulli(a: float, b: float) -> float:
     ``a*log(a/b) + (1-a)*log((1-a)/(1-b))`` with the conventions
     0*log(0/.) = 0 at both endpoints; exactly 0 when a == b.  The
     complementary term goes through log1p so values stay accurate as a
-    approaches 0 or 1.
+    approaches 0 or 1.  The two terms can cancel to a tiny negative sum
+    when a is a few ulps from b; KL is never negative, so that reads 0.
     """
     a = float(a)
     b = float(b)
@@ -65,7 +66,7 @@ def kl_bernoulli(a: float, b: float) -> float:
         raise ValueError(f"b must lie in (0, 1), got {b!r}")
     left = a * math.log(a / b) if a > 0.0 else 0.0
     right = (1.0 - a) * (math.log1p(-a) - math.log1p(-b)) if a < 1.0 else 0.0
-    return left + right
+    return max(0.0, left + right)
 
 
 def hoeffding_tight_pvalue(rhat: float, spec: TestSpec) -> float:

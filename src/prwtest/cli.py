@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from typing import Optional, Sequence
 
-from .baselines import bentkus_pvalue, compare, hoeffding_tight_pvalue
+from .baselines import compare
 from .fwer import FwerOutcome, FwerPlan, bonferroni, fallback, fixed_sequence
-from .mc import LossDistribution, canonical_method, simulate_superuniformity
-from .prw import TestSpec, gamma_r, prw_pvalue
+from .mc import PVALUE_METHODS, LossDistribution, simulate_superuniformity
+from .prw import GBoundContext, TestSpec
+from .prw import prw_pvalue  # noqa: F401  perfbench's tracer test reads cli.prw_pvalue
 
 __all__ = ["LossSample", "read_loss_csv", "main", "entrypoint", "DEFAULT_COMPARE_GRID"]
 
@@ -81,8 +82,8 @@ class LossSample:
         return math.fsum(self.losses) / len(self.losses)
 
 
-def read_loss_csv(path: str) -> LossSample:
-    """Read a loss sample from a single-column CSV with a required `loss` header.
+def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
+    """Read the values of a single-column CSV with a required header.
 
     UTF-8 (BOM tolerated), LF or CRLF line endings.  Any malformed or
     out-of-range value raises DataError naming the offending data row.
@@ -91,31 +92,47 @@ def read_loss_csv(path: str) -> LossSample:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    values: list[float] = []
+    row_number = -1  # the header is row 0, data rows count from 1
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file; expected a `loss` header") from None
-        if [h.strip() for h in header] != ["loss"]:
-            raise DataError(f"{path}: expected a single `loss` column header, got {header!r}")
-        losses: list[float] = []
-        for row_number, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise DataError(f"{path}: row {row_number}: expected 1 column, got {len(row)}")
-            text = row[0].strip()
-            try:
-                value = float(text)
-            except ValueError:
-                raise DataError(f"{path}: row {row_number}: not a number: {text!r}") from None
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise DataError(f"{path}: row {row_number}: loss {text} outside [0, 1]")
-            losses.append(value)
-    if not losses:
-        raise DataError(f"{path}: no loss rows found")
-    return LossSample(losses=tuple(losses))
+            first = next(reader, None)
+            if first is None:
+                raise DataError(f"{path}: empty file; expected a `{header}` header")
+            if [h.strip() for h in first] != [header]:
+                raise DataError(
+                    f"{path}: expected a single `{header}` column header, got {first!r}"
+                )
+            row_number = 0
+            for row_number, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 1:
+                    raise DataError(f"{path}: row {row_number}: expected 1 column, got {len(row)}")
+                text = row[0].strip()
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise DataError(f"{path}: row {row_number}: not a number: {text!r}") from None
+                if math.isnan(value) or not 0.0 <= value <= 1.0:
+                    raise DataError(f"{path}: row {row_number}: {label} {text} outside [0, 1]")
+                values.append(value)
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {row_number + 1}: {exc}") from None
+    if not values:
+        raise DataError(f"{path}: no {label} rows found")
+    return tuple(values)
+
+
+def read_loss_csv(path: str) -> LossSample:
+    """Read a loss sample from a single-column CSV with a required `loss` header."""
+    return LossSample(losses=_read_column(path, "loss", "loss"))
+
+
+def read_pvalue_csv(path: str) -> tuple[float, ...]:
+    """Read ordered p-values from a single-column CSV with a `pvalue` header."""
+    return _read_column(path, "pvalue", "p-value")
 
 
 def round_half_away(value: float, digits: int) -> Decimal:
@@ -160,11 +177,17 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise DataError(f"grid must contain numbers, got {text!r}") from None
     if math.isnan(start) or math.isnan(step) or math.isnan(stop):
         raise DataError(f"grid values must be numbers, got {text!r}")
+    if math.isinf(start) or math.isinf(step) or math.isinf(stop):
+        raise DataError(f"grid values must be finite, got {text!r}")
     if step <= 0.0:
         raise DataError(f"grid step must be positive, got {step!r}")
     if stop < start:
         raise DataError(f"grid stop must be >= start, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if not 0.0 <= start <= 1.0:
+        raise DataError(f"grid value {start!r} outside [0, 1]")
+    # Values above 1 are rejected below and the first is at most 1 + step, so
+    # build no further than 1 + 2*step: a huge stop stays cheap.
+    count = int(math.floor((min(stop, 1.0 + 2.0 * step) - start) / step + 1e-9)) + 1
     values = tuple(start + i * step for i in range(count))
     for v in values:
         if not 0.0 <= v <= 1.0:
@@ -203,49 +226,9 @@ def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
     return values
 
 
-def read_pvalue_csv(path: str) -> tuple[float, ...]:
-    """Read ordered p-values from a single-column CSV with a `pvalue` header."""
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file; expected a `pvalue` header") from None
-        if [h.strip() for h in header] != ["pvalue"]:
-            raise DataError(f"{path}: expected a single `pvalue` column header, got {header!r}")
-        values: list[float] = []
-        for row_number, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise DataError(f"{path}: row {row_number}: expected 1 column, got {len(row)}")
-            text = row[0].strip()
-            try:
-                value = float(text)
-            except ValueError:
-                raise DataError(f"{path}: row {row_number}: not a number: {text!r}") from None
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise DataError(f"{path}: row {row_number}: p-value {text} outside [0, 1]")
-            values.append(value)
-    if not values:
-        raise DataError(f"{path}: no p-value rows found")
-    return tuple(values)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
-
-def _spec_from_args(n, alpha) -> TestSpec:
-    try:
-        return TestSpec(n=n, alpha=alpha)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
 
 def cmd_pvalue(args: argparse.Namespace) -> int:
     if args.losses is not None and args.rhat is not None:
@@ -259,19 +242,17 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
             raise DataError("pass --losses FILE, or both --rhat and --n")
         n = args.n
         rhat = args.rhat
-    spec = _spec_from_args(n, args.alpha)
+    spec = TestSpec(n=n, alpha=args.alpha)
     if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
         raise DataError(f"--rhat must lie in [0, 1], got {rhat!r}")
 
-    methods = PVALUE_CHOICES[:-1] if args.method == "all" else (args.method,)
+    methods = PVALUE_METHODS if args.method == "all" else (args.method,)
     values: dict[str, float] = {}
     for method in methods:
-        if method == "prw":
-            values["prw"] = prw_pvalue(rhat, spec, clamp=not args.unclamped)
-        elif method == "bentkus":
-            values["bentkus"] = bentkus_pvalue(rhat, spec, clamp=not args.unclamped)
-        else:
-            values["hoeffding_tight"] = hoeffding_tight_pvalue(rhat, spec)
+        # exp(-n*KL) never exceeds 1, so tight Hoeffding has no raw form
+        unclamped = args.unclamped and method != "hoeffding-tight"
+        kwargs = {"clamp": False} if unclamped else {}
+        values[method.replace("-", "_")] = PVALUE_METHODS[method](rhat, spec, **kwargs)
 
     digits = _resolve_digits(args.digits)
     if args.format == "json":
@@ -294,15 +275,9 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_from_args(args: argparse.Namespace, default: Sequence[float]) -> tuple[float, ...]:
-    if args.grid is None:
-        return tuple(default)
-    return parse_grid(args.grid)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args.n, args.alpha)
-    grid = _grid_from_args(args, DEFAULT_COMPARE_GRID)
+    spec = TestSpec(n=args.n, alpha=args.alpha)
+    grid = DEFAULT_COMPARE_GRID if args.grid is None else parse_grid(args.grid)
     digits = _resolve_digits(args.digits)
     reports = [compare(r, spec) for r in grid]
     if args.format == "json":
@@ -335,12 +310,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_plotdata(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args.n, args.alpha)
+    spec = TestSpec(n=args.n, alpha=args.alpha)
     if args.grid is None:
         grid = tuple(i / (DEFAULT_PLOT_POINTS - 1) for i in range(DEFAULT_PLOT_POINTS))
     else:
         grid = parse_grid(args.grid)
-    t_max = (gamma_r(spec.n, spec.alpha) - 1) / spec.n
+    t_max = GBoundContext(spec.n, spec.alpha).t_max
     rows = []
     for rhat in grid:
         rep = compare(rhat, spec)
@@ -384,11 +359,8 @@ def cmd_fwer(args: argparse.Namespace) -> int:
         weights = _parse_float_list(args.weights, "--weights")
     if args.procedure == "fallback" and weights is None:
         raise DataError("fallback requires --weights")
-    try:
-        plan = FwerPlan(pvalues=pvalues, delta=args.delta, weights=weights)
-        outcome: FwerOutcome = _PROCEDURES[args.procedure](plan)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    plan = FwerPlan(pvalues=pvalues, delta=args.delta, weights=weights)
+    outcome: FwerOutcome = _PROCEDURES[args.procedure](plan)
     if args.format == "json":
         payload = {
             "command": "fwer",
@@ -410,14 +382,11 @@ def cmd_fwer(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     dist = parse_dist(args.dist)
-    spec = _spec_from_args(args.n, args.alpha)
+    spec = TestSpec(n=args.n, alpha=args.alpha)
     deltas = _parse_float_list(args.delta, "--delta")
-    try:
-        report = simulate_superuniformity(
-            dist, spec, args.method, deltas, reps=args.reps, seed=args.seed
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    report = simulate_superuniformity(
+        dist, spec, args.method, deltas, reps=args.reps, seed=args.seed
+    )
     results = []
     all_ok = True
     for d, e, se in zip(report.delta_grid, report.exceedance, report.stderr):
@@ -430,7 +399,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "dist": args.dist,
             "n": spec.n,
             "alpha": spec.alpha,
-            "method": canonical_method(args.method),
+            "method": args.method,
             "reps": report.reps,
             "seed": report.seed,
             "results": [
@@ -450,9 +419,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-PVALUE_CHOICES = ("prw", "hoeffding-tight", "bentkus", "all")
-
 
 def _positive_int(text: str) -> int:
     try:
@@ -479,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, help="sample size (with --rhat)")
     p.add_argument("--losses", help="CSV file with a single `loss` column")
     p.add_argument("--alpha", type=float, required=True, help="risk threshold in (0, 1)")
-    p.add_argument("--method", choices=PVALUE_CHOICES, default="all")
+    p.add_argument("--method", choices=(*PVALUE_METHODS, "all"), default="all")
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--unclamped", action="store_true",
                    help="report raw bound values, which may exceed 1")
@@ -514,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bernoulli:P, beta:A:B, or discrete:X1,..:Q1,..")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", choices=PVALUE_CHOICES[:-1], default="prw")
+    p.add_argument("--method", choices=tuple(PVALUE_METHODS), default="prw")
     p.add_argument("--reps", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", default="0.01,0.05,0.1,0.2",

@@ -27,7 +27,13 @@ __all__ = [
     "simulate_power",
 ]
 
-PVALUE_METHODS = ("prw", "bentkus", "hoeffding-tight")
+# Method id -> p-value function, in the CLI's column order.  Output keys
+# (CLI columns, JSON fields) are the ids with "-" replaced by "_".
+PVALUE_METHODS = {
+    "prw": prw_pvalue,
+    "hoeffding-tight": hoeffding_tight_pvalue,
+    "bentkus": bentkus_pvalue,
+}
 
 _MEAN_TOL = 1e-12
 
@@ -36,17 +42,8 @@ def canonical_method(method: str) -> str:
     """Normalize a p-value method id; raise for anything unknown."""
     name = str(method).strip().lower().replace("_", "-")
     if name not in PVALUE_METHODS:
-        raise ValueError(f"unknown p-value method {method!r}; choose from {PVALUE_METHODS}")
+        raise ValueError(f"unknown p-value method {method!r}; choose from {tuple(PVALUE_METHODS)}")
     return name
-
-
-def _pvalue_fn(method: str):
-    name = canonical_method(method)
-    if name == "prw":
-        return prw_pvalue
-    if name == "bentkus":
-        return bentkus_pvalue
-    return hoeffding_tight_pvalue
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,9 @@ def _sample_pvalues(
     rhats = losses.mean(axis=1)
     out: dict[str, np.ndarray] = {}
     for method in methods:
-        fn = _pvalue_fn(method)
-        out[canonical_method(method)] = np.array([fn(r, spec) for r in rhats])
+        name = canonical_method(method)
+        fn = PVALUE_METHODS[name]
+        out[name] = np.array([fn(r, spec) for r in rhats])
     return out
 
 
@@ -159,7 +157,7 @@ def simulate_superuniformity(
     for d in grid:
         if math.isnan(d) or not 0.0 < d < 1.0:
             raise ValueError(f"delta values must lie in (0, 1), got {d!r}")
-    pvals = _sample_pvalues(dist, spec, [method], reps, seed)[canonical_method(method)]
+    (pvals,) = _sample_pvalues(dist, spec, [method], reps, seed).values()
     exceedance = tuple(float(np.mean(pvals <= d)) for d in grid)
     stderr = tuple(math.sqrt(e * (1.0 - e) / reps) for e in exceedance)
     return McReport(

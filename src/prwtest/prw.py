@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .binomial import BinomialParams, cdf, sf
@@ -68,35 +68,29 @@ class TestSpec:
 class GBoundContext:
     """Evaluation context of the step bound for a fixed (n, mean).
 
-    ``gamma`` is the smallest positive integer >= n*mean and
-    ``t_max = (gamma - 1)/n`` is the right endpoint of the bound's domain;
-    the bound is only defined left of the binomial mean.
+    Built as ``GBoundContext(n, mean)``.  The derived ``gamma`` is the
+    smallest positive integer >= n*mean and ``t_max = (gamma - 1)/n`` is the
+    right endpoint of the bound's domain; the bound is only defined left of
+    the binomial mean.
     """
 
     n: int
     mean: float
-    gamma: int
-    t_max: float
+    gamma: int = field(init=False)
+    t_max: float = field(init=False)
 
     def __post_init__(self) -> None:
         n = _check_positive_int(self.n, "n")
         mean = _check_open_unit(self.mean, "mean")
+        gamma = gamma_r(n, mean)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mean", mean)
-        if self.gamma != gamma_r(n, mean):
-            raise ValueError(
-                f"inconsistent context: gamma={self.gamma} but gamma_r({n}, {mean}) "
-                f"= {gamma_r(n, mean)}"
-            )
-        if self.t_max != (self.gamma - 1) / n:
-            raise ValueError("inconsistent context: t_max must equal (gamma-1)/n")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "t_max", (gamma - 1) / n)
 
     @classmethod
     def from_mean(cls, n: int, mean: float) -> "GBoundContext":
-        n = _check_positive_int(n, "n")
-        mean = _check_open_unit(mean, "mean")
-        gamma = gamma_r(n, mean)
-        return cls(n=n, mean=mean, gamma=gamma, t_max=(gamma - 1) / n)
+        return cls(n, mean)
 
 
 def gamma_r(n: int, mean: float) -> int:
@@ -235,4 +229,4 @@ def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
 
 @lru_cache(maxsize=1 << 12)
 def _context(n: int, alpha: float) -> GBoundContext:
-    return GBoundContext.from_mean(n, alpha)
+    return GBoundContext(n, alpha)

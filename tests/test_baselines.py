@@ -19,6 +19,8 @@ from prwtest.prw import TestSpec, prw_pvalue
 
 REL = 1e-12
 SPEC = TestSpec(n=100, alpha=0.1)
+# (a, b) with a a few ulps below b
+ULPS_BELOW = (0.6861108864707209, 0.6861108864707216)
 
 
 def round4(x: float) -> str:
@@ -55,6 +57,10 @@ class TestKlBernoulli:
     def test_zero_at_equality(self):
         assert kl_bernoulli(0.1, 0.1) == 0.0
         assert kl_bernoulli(0.73, 0.73) == 0.0
+
+    def test_zero_a_few_ulps_below_reference(self):
+        # the two log terms cancel to -5.8e-17 in floating point
+        assert kl_bernoulli(ULPS_BELOW[0], ULPS_BELOW[1]) == 0.0
 
     def test_left_endpoint(self):
         # -log(1 - 0.1) with 0.1 as its exact double
@@ -93,6 +99,11 @@ class TestHoeffdingTight:
         # the published 0.5010 cell sits at the last default-grid value,
         # which rounds to 0.0667 but is not equal to it
         assert round4(hoeffding_tight_pvalue(0.0666666704, SPEC)) == "0.5010"
+
+    def test_one_a_few_ulps_below_alpha(self):
+        rhat, alpha = ULPS_BELOW
+        assert hoeffding_tight_pvalue(rhat, TestSpec(n=10, alpha=alpha)) == 1.0
+        assert compare(rhat, TestSpec(n=10, alpha=alpha)).hoeffding_tight == 1.0
 
     def test_one_at_and_above_alpha(self):
         assert hoeffding_tight_pvalue(0.1, SPEC) == 1.0

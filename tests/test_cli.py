@@ -1,5 +1,6 @@
 """CLI contract tests: golden table, flag handling, exit codes, JSON schema."""
 
+import csv
 import json
 import os
 import subprocess
@@ -10,11 +11,13 @@ import pytest
 
 from prwtest.cli import (
     DEFAULT_COMPARE_GRID,
+    DataError,
     LossSample,
     main,
     parse_dist,
     parse_grid,
     read_loss_csv,
+    read_pvalue_csv,
 )
 from prwtest.prw import TestSpec, prw_pvalue
 
@@ -56,33 +59,74 @@ class TestLossSample:
             LossSample(losses=(0.5, 1.5))
 
 
+# (reader, header, label, values of a result): both single-column readers
+# share one format and the same messages, up to the column's names.
+READERS = (
+    (read_loss_csv, "loss", "loss", lambda sample: sample.losses),
+    (read_pvalue_csv, "pvalue", "p-value", lambda values: values),
+)
+
+
+def read_error(read, path):
+    with pytest.raises(DataError) as info:
+        read(path)
+    return str(info.value)
+
+
 class TestLossCsv:
+    """Every case runs through both readers, `read_loss_csv` and `read_pvalue_csv`."""
+
     def test_reads_lf(self, tmp_path):
-        path = write_losses(tmp_path, ["0", "0.25", "1"])
-        sample = read_loss_csv(path)
-        assert sample.n == 3
-        assert sample.rhat == pytest.approx(5 / 12)
+        for read, header, _, values in READERS:
+            path = write_losses(tmp_path, ["0", "0.25", "1"], header=header)
+            assert values(read(path)) == (0.0, 0.25, 1.0)
 
     def test_reads_crlf_and_bom(self, tmp_path):
         path = tmp_path / "crlf.csv"
-        path.write_bytes(b"\xef\xbb\xbfloss\r\n0.5\r\n0.25\r\n")
-        sample = read_loss_csv(str(path))
-        assert sample.n == 2
+        for read, header, _, values in READERS:
+            path.write_bytes(b"\xef\xbb\xbf" + header.encode() + b"\r\n0.5\r\n0.25\r\n")
+            assert values(read(str(path))) == (0.5, 0.25)
 
     def test_row_precise_error(self, tmp_path):
-        path = write_losses(tmp_path, ["0.5", "1.5", "0.25"])
-        with pytest.raises(Exception, match="row 2"):
-            read_loss_csv(path)
+        for read, header, label, _ in READERS:
+            path = write_losses(tmp_path, ["0.5", "1.5", "0.25"], header=header)
+            assert read_error(read, path) == f"{path}: row 2: {label} 1.5 outside [0, 1]"
 
     def test_header_required(self, tmp_path):
-        path = write_losses(tmp_path, ["0.5"], header="value")
-        with pytest.raises(Exception, match="loss"):
-            read_loss_csv(path)
+        for read, header, _, _ in READERS:
+            path = write_losses(tmp_path, ["0.5"], header="value")
+            assert read_error(read, path) == (
+                f"{path}: expected a single `{header}` column header, got ['value']"
+            )
 
     def test_non_numeric(self, tmp_path):
-        path = write_losses(tmp_path, ["0.5", "oops"])
-        with pytest.raises(Exception, match="row 2"):
-            read_loss_csv(path)
+        for read, header, _, _ in READERS:
+            path = write_losses(tmp_path, ["0.5", "oops"], header=header)
+            assert read_error(read, path) == f"{path}: row 2: not a number: 'oops'"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        for read, header, _, _ in READERS:
+            assert read_error(read, str(path)) == (
+                f"{path}: empty file; expected a `{header}` header"
+            )
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "header.csv"
+        for read, header, label, _ in READERS:
+            path.write_text(header + "\n\n", encoding="utf-8")
+            assert read_error(read, str(path)) == f"{path}: no {label} rows found"
+
+    def test_extra_column(self, tmp_path):
+        for read, header, _, _ in READERS:
+            path = write_losses(tmp_path, ["0.5", "0.1,0.2"], header=header)
+            assert read_error(read, path) == f"{path}: row 2: expected 1 column, got 2"
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        for read, _, _, _ in READERS:
+            assert read_error(read, str(path)).startswith(f"cannot read {path}: ")
 
 
 class TestParsers:
@@ -90,12 +134,14 @@ class TestParsers:
         assert parse_grid("0:0.001:0.002") == pytest.approx((0.0, 0.001, 0.002))
 
     def test_grid_rejects_bad_step(self):
-        with pytest.raises(Exception):
-            parse_grid("0:-0.1:1")
+        for text in ("0:-0.1:1", "0:inf:1"):
+            with pytest.raises(DataError):
+                parse_grid(text)
 
     def test_grid_rejects_outside_unit(self):
-        with pytest.raises(Exception):
-            parse_grid("0.5:0.5:1.5")
+        for text in ("0.5:0.5:1.5", "0:0.1:inf", "-inf:0.1:1"):
+            with pytest.raises(DataError):
+                parse_grid(text)
 
     def test_dist_specs(self):
         assert parse_dist("bernoulli:0.2").mean == 0.2
@@ -301,6 +347,21 @@ class TestFwer:
         assert "row 2" in err
 
 
+@pytest.mark.parametrize("header,argv", [
+    ("pvalue", ("fwer", "{path}", "--procedure", "bonferroni", "--delta", "0.05")),
+    ("loss", ("pvalue", "--losses", "{path}", "--alpha", "0.1")),
+])
+def test_field_over_csv_limit_exits_2(capsys, tmp_path, header, argv):
+    path = tmp_path / "long.csv"
+    path.write_text(f"{header}\n0.1\n{'0' * 200_000}\n", encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {path}: row 2: field larger than field limit ({csv.field_size_limit()})\n"
+    )
+
+
 class TestValidate:
     def test_passes_under_true_null(self, capsys):
         code, out, _ = run(capsys, "validate", "--dist", "bernoulli:0.2", "--n", "20",
@@ -410,3 +471,15 @@ def test_python_dash_m_runs_the_cli():
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_importing_the_library_leaves_the_cli_unloaded():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, prwtest; print('prwtest.cli' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

@@ -187,6 +187,13 @@ class TestPower:
             if k <= 9 and factor < math.e:
                 assert prw_pvalue(r, spec) <= bentkus_pvalue(r, spec) + 1e-15
 
+    def test_method_ids_are_canonicalised(self):
+        rates = simulate_power(
+            LossDistribution.bernoulli(0.02), TestSpec(n=50, alpha=0.1),
+            ["PRW", "hoeffding_tight"], delta=0.05, reps=50, seed=3,
+        )
+        assert list(rates) == ["prw", "hoeffding-tight"]
+
     def test_rejects_null_configuration(self):
         with pytest.raises(ValueError):
             simulate_power(
