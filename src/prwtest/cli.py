@@ -183,16 +183,17 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise DataError(f"grid step must be positive, got {step!r}")
     if stop < start:
         raise DataError(f"grid stop must be >= start, got {text!r}")
-    if not 0.0 <= start <= 1.0:
-        raise DataError(f"grid value {start!r} outside [0, 1]")
-    # Values above 1 are rejected below and the first is at most 1 + step, so
-    # build no further than 1 + 2*step: a huge stop stays cheap.
-    count = int(math.floor((min(stop, 1.0 + 2.0 * step) - start) / step + 1e-9)) + 1
-    values = tuple(start + i * step for i in range(count))
-    for v in values:
+    # Not range(count): a huge stop overflows the count; the loop ends above 1
+    limit = (stop - start) / step + 1e-9
+    values = []
+    i = 0
+    while i <= limit:
+        v = start + i * step
         if not 0.0 <= v <= 1.0:
             raise DataError(f"grid value {v!r} outside [0, 1]")
-    return values
+        values.append(v)
+        i += 1
+    return tuple(values)
 
 
 def parse_dist(text: str) -> LossDistribution:

@@ -168,15 +168,13 @@ class TestLowerTailBound:
     data=st.data(),
 )
 def test_tail_duality(n, mean, data):
+    mean = 1.0 - (1.0 - mean)  # makes 1.0 - mean below exact (Sterbenz)
     gamma = gamma_r(n, mean)
     k = data.draw(st.integers(0, gamma - 1))
     assume(n * mean - k > 0.01)  # away from the factor's pole, where doubles run out
     lower = lower_tail_bound(n, mean, k)
     upper = upper_tail_bound(n, 1.0 - mean, n - k)
-    # 1.0 - mean is rounded by up to 2**-53, which moves the exact factor by
-    # up to k * 2**-53 / (mean * (n*mean - k)), relative, near the pole
-    input_rounding = k * 2.0**-53 / (mean * (n * mean - k))
-    assert lower == pytest.approx(upper, rel=1e-12 + input_rounding)
+    assert lower == pytest.approx(upper, rel=1e-12)
 
 
 class TestG:
