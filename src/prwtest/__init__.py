@@ -7,7 +7,7 @@ FWER-controlling multiple-testing procedures and a seeded Monte Carlo
 validation harness.
 """
 
-from .binomial import BinomialParams, cdf, log_pmf, sf
+from .binomial import BinomialParams, cdf, sf
 from .prw import (
     GBoundContext,
     TestSpec,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinomialParams",
-    "log_pmf",
     "cdf",
     "sf",
     "TestSpec",

@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = ["BinomialParams", "log_pmf", "cdf", "sf"]
+__all__ = ["BinomialParams", "cdf", "sf"]
 
 # Distinct (n, p) laws whose tail tables are kept.
 _TABLE_CACHE_SIZE = 64
@@ -51,29 +51,6 @@ class BinomialParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
-
-
-def log_pmf(params: BinomialParams, k: int) -> float:
-    """Natural log of P(Bin(n, p) = k), with exact -inf for zero mass.
-
-    Follows the conventions 0*log(0) = 0, so the degenerate p in {0, 1}
-    cases return 0.0 (probability one) or -inf rather than touching log(0)
-    arithmetic.
-
-    Raises
-    ------
-    ValueError
-        If k lies outside [0, n].
-    """
-    k = operator.index(k)
-    n, p = params.n, params.p
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}], got {k}")
-    if p == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if k == n else -math.inf
-    return math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p)
 
 
 def cdf(params: BinomialParams, k: int) -> float:

@@ -18,17 +18,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from typing import Optional, Sequence
 
 from .baselines import compare
 from .fwer import FwerOutcome, FwerPlan, bonferroni, fallback, fixed_sequence
 from .mc import PVALUE_METHODS, LossDistribution, simulate_superuniformity
-from .prw import GBoundContext, TestSpec
+from .prw import TestSpec
 from .prw import prw_pvalue  # noqa: F401  perfbench's tracer test reads cli.prw_pvalue
 
-__all__ = ["LossSample", "read_loss_csv", "main", "entrypoint", "DEFAULT_COMPARE_GRID"]
+__all__ = ["read_loss_csv", "main", "entrypoint", "DEFAULT_COMPARE_GRID"]
 
 # Default grid for `compare`: 45 evenly spaced empirical risks from 0.  The
 # spacing reproduces the published reference table for (n=100, alpha=0.1); in
@@ -56,30 +55,6 @@ MAX_DIGITS = 27
 
 class DataError(Exception):
     """Malformed input data or flags; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class LossSample:
-    """A vector of losses in [0, 1] with its derived size and empirical risk."""
-
-    losses: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        losses = tuple(float(x) for x in self.losses)
-        if not losses:
-            raise ValueError("a loss sample must contain at least one value")
-        for i, x in enumerate(losses):
-            if math.isnan(x) or not 0.0 <= x <= 1.0:
-                raise ValueError(f"loss at position {i} must lie in [0, 1], got {x!r}")
-        object.__setattr__(self, "losses", losses)
-
-    @property
-    def n(self) -> int:
-        return len(self.losses)
-
-    @property
-    def rhat(self) -> float:
-        return math.fsum(self.losses) / len(self.losses)
 
 
 def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
@@ -125,9 +100,9 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def read_loss_csv(path: str) -> LossSample:
-    """Read a loss sample from a single-column CSV with a required `loss` header."""
-    return LossSample(losses=_read_column(path, "loss", "loss"))
+def read_loss_csv(path: str) -> tuple[float, ...]:
+    """Read losses from a single-column CSV with a required `loss` header."""
+    return _read_column(path, "loss", "loss")
 
 
 def read_pvalue_csv(path: str) -> tuple[float, ...]:
@@ -235,9 +210,9 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
     if args.losses is not None and args.rhat is not None:
         raise DataError("pass either --losses or --rhat, not both")
     if args.losses is not None:
-        sample = read_loss_csv(args.losses)
-        n = sample.n
-        rhat = sample.rhat
+        losses = read_loss_csv(args.losses)
+        n = len(losses)
+        rhat = math.fsum(losses) / n
     else:
         if args.rhat is None or args.n is None:
             raise DataError("pass --losses FILE, or both --rhat and --n")
@@ -316,17 +291,16 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         grid = tuple(i / (DEFAULT_PLOT_POINTS - 1) for i in range(DEFAULT_PLOT_POINTS))
     else:
         grid = parse_grid(args.grid)
-    t_max = GBoundContext(spec.n, spec.alpha).t_max
     rows = []
     for rhat in grid:
         rep = compare(rhat, spec)
-        rows.append((rhat, rep.prw, rep.hoeffding_tight, rep.bentkus, rhat > t_max))
+        rows.append((rhat, rep.prw, rep.hoeffding_tight, rep.bentkus, rhat > spec.t_max))
     if args.format == "json":
         payload = {
             "command": "plotdata",
             "n": spec.n,
             "alpha": spec.alpha,
-            "cap": t_max,
+            "cap": spec.t_max,
             "rows": [
                 {
                     "rhat": r,

@@ -13,7 +13,6 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .binomial import BinomialParams, cdf, sf
 
@@ -54,43 +53,36 @@ def _check_open_unit(value, name: str) -> float:
 
 @dataclass(frozen=True)
 class TestSpec:
-    """Context of the one-sided test ``H0: mean > alpha``: sample size and threshold."""
+    """Context of the one-sided test ``H0: mean > alpha`` and of its step bound.
 
-    n: int
-    alpha: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_positive_int(self.n, "n"))
-        object.__setattr__(self, "alpha", _check_open_unit(self.alpha, "alpha"))
-
-
-@dataclass(frozen=True)
-class GBoundContext:
-    """Evaluation context of the step bound for a fixed (n, mean).
-
-    Built as ``GBoundContext(n, mean)``.  The derived ``gamma`` is the
-    smallest positive integer >= n*mean and ``t_max = (gamma - 1)/n`` is the
-    right endpoint of the bound's domain; the bound is only defined left of
-    the binomial mean.
+    The p-value is the bound at mean = alpha, so the test's (n, alpha) is
+    also the bound's (n, mean).  Built as ``TestSpec(n, alpha)``.  The
+    derived ``gamma`` is the smallest positive integer >= n*alpha and
+    ``t_max = (gamma - 1)/n`` is the right endpoint of the bound's domain;
+    the bound is only defined left of the binomial mean.
     """
 
     n: int
-    mean: float
+    alpha: float
     gamma: int = field(init=False)
     t_max: float = field(init=False)
 
     def __post_init__(self) -> None:
         n = _check_positive_int(self.n, "n")
-        mean = _check_open_unit(self.mean, "mean")
-        gamma = gamma_r(n, mean)
+        alpha = _check_open_unit(self.alpha, "alpha")
+        gamma = gamma_r(n, alpha)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "t_max", (gamma - 1) / n)
 
     @classmethod
-    def from_mean(cls, n: int, mean: float) -> "GBoundContext":
+    def from_mean(cls, n: int, mean: float) -> "TestSpec":
         return cls(n, mean)
+
+
+# The bound's name for the same context, kept for existing callers.
+GBoundContext = TestSpec
 
 
 def gamma_r(n: int, mean: float) -> int:
@@ -156,13 +148,13 @@ def lower_tail_bound(n: int, mean: float, k: int) -> float:
     return factor * cdf(BinomialParams(n, mean), k)
 
 
-def g(t: float, ctx: GBoundContext) -> float:
+def g(t: float, ctx: TestSpec) -> float:
     """Step-function bound on P(empirical risk <= t) for t in [0, t_max].
 
     Left of the boundary the value is ``lower_tail_bound`` at the snapped
     ceiling of n*t; at the boundary t = t_max itself the value is clamped
     below by 1, which is what makes the capped p-value valid.  g(0) equals
-    (1 - mean)**n exactly whenever gamma >= 2.
+    (1 - alpha)**n exactly whenever gamma >= 2.
     """
     t = float(t)
     if math.isnan(t) or t < 0.0:
@@ -170,13 +162,13 @@ def g(t: float, ctx: GBoundContext) -> float:
     nt = ctx.n * t
     boundary = ctx.gamma - 1
     if abs(nt - boundary) <= SNAP_RTOL * max(1.0, nt):
-        return max(1.0, lower_tail_bound(ctx.n, ctx.mean, boundary))
+        return max(1.0, lower_tail_bound(ctx.n, ctx.alpha, boundary))
     if t > ctx.t_max:
         raise ValueError(f"t must lie in [0, {ctx.t_max}], got {t!r}")
-    return lower_tail_bound(ctx.n, ctx.mean, ceil_scaled(ctx.n, t))
+    return lower_tail_bound(ctx.n, ctx.alpha, ceil_scaled(ctx.n, t))
 
 
-def g_inverse(delta: float, ctx: GBoundContext) -> float:
+def g_inverse(delta: float, ctx: TestSpec) -> float:
     """Largest grid point j/n whose bound value is still <= delta.
 
     The bound is a left-continuous step function jumping only at the grid
@@ -189,7 +181,7 @@ def g_inverse(delta: float, ctx: GBoundContext) -> float:
     Raises
     ------
     ValueError
-        If delta < (1 - mean)**n (no grid point qualifies), or when
+        If delta < (1 - alpha)**n (no grid point qualifies), or when
         gamma = 1 so the domain contains only the boundary point.
     """
     delta = float(delta)
@@ -201,12 +193,12 @@ def g_inverse(delta: float, ctx: GBoundContext) -> float:
             "at least 1; no delta < 1 is attainable"
         )
     count = bisect_right(
-        range(ctx.gamma - 1), delta, key=lambda j: lower_tail_bound(ctx.n, ctx.mean, j)
+        range(ctx.gamma - 1), delta, key=lambda j: lower_tail_bound(ctx.n, ctx.alpha, j)
     )
     if count == 0:
         raise ValueError(
             f"delta={delta} is below the smallest attainable bound value "
-            f"(1 - mean)**n = {(1.0 - ctx.mean) ** ctx.n}"
+            f"(1 - alpha)**n = {(1.0 - ctx.alpha) ** ctx.n}"
         )
     return (count - 1) / ctx.n
 
@@ -214,19 +206,12 @@ def g_inverse(delta: float, ctx: GBoundContext) -> float:
 def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     """PRW p-value for ``H0: mean > alpha`` given the observed empirical risk.
 
-    Evaluates the step bound at min(rhat, t_max) in the context built from
-    (spec.n, spec.alpha) and reports min(1, value).  ``clamp=False`` returns
-    the raw bound value, which exceeds 1 in the capped region; useful for
-    diagnostics only.
+    Evaluates the step bound at min(rhat, spec.t_max) and reports
+    min(1, value).  ``clamp=False`` returns the raw bound value, which
+    exceeds 1 in the capped region; useful for diagnostics only.
     """
     rhat = float(rhat)
     if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
         raise ValueError(f"rhat must lie in [0, 1], got {rhat!r}")
-    ctx = _context(spec.n, spec.alpha)
-    value = g(min(rhat, ctx.t_max), ctx)
+    value = g(min(rhat, spec.t_max), spec)
     return min(1.0, value) if clamp else value
-
-
-@lru_cache(maxsize=1 << 12)
-def _context(n: int, alpha: float) -> GBoundContext:
-    return GBoundContext(n, alpha)

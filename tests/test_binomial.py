@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prwtest.binomial import BinomialParams, _tail_table, cdf, log_pmf, sf
+from prwtest.binomial import BinomialParams, _tail_table, cdf, sf
 
 from _oracle import binom_cdf_exact, binom_sf_exact, rel_err
 
@@ -32,37 +32,6 @@ class TestParams:
     def test_bad_p(self, p):
         with pytest.raises(ValueError):
             BinomialParams(n=5, p=p)
-
-
-class TestLogPmf:
-    def test_single_fair_trial(self):
-        assert log_pmf(BinomialParams(1, 0.5), 0) == pytest.approx(math.log(0.5), rel=1e-15)
-
-    def test_all_failures(self):
-        # 100 * ln(0.9); oracle: -10.53605156578263
-        got = log_pmf(BinomialParams(100, 0.1), 0)
-        assert got == pytest.approx(-10.53605156578263, rel=REL)
-
-    def test_degenerate_p_zero(self):
-        params = BinomialParams(4, 0.0)
-        assert log_pmf(params, 0) == 0.0
-        assert log_pmf(params, 2) == -math.inf
-
-    def test_degenerate_p_one(self):
-        params = BinomialParams(4, 1.0)
-        assert log_pmf(params, 4) == 0.0
-        assert log_pmf(params, 0) == -math.inf
-
-    @pytest.mark.parametrize("k", [-1, 5])
-    def test_out_of_range_k(self, k):
-        with pytest.raises(ValueError):
-            log_pmf(BinomialParams(4, 0.5), k)
-
-    def test_matches_exact_pmf(self):
-        params = BinomialParams(30, 0.37)
-        for k in range(31):
-            want = binom_cdf_exact(30, 0.37, k) - binom_cdf_exact(30, 0.37, k - 1)
-            assert math.exp(log_pmf(params, k)) == pytest.approx(float(want), rel=1e-12)
 
 
 class TestCdf:

@@ -12,7 +12,6 @@ import pytest
 from prwtest.cli import (
     DEFAULT_COMPARE_GRID,
     DataError,
-    LossSample,
     main,
     parse_dist,
     parse_grid,
@@ -44,26 +43,11 @@ def write_pvalues(tmp_path, values, name="pvalues.csv"):
     return str(path)
 
 
-class TestLossSample:
-    def test_derived_fields(self):
-        s = LossSample(losses=(0.0, 0.5, 1.0))
-        assert s.n == 3
-        assert s.rhat == pytest.approx(0.5)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            LossSample(losses=())
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            LossSample(losses=(0.5, 1.5))
-
-
-# (reader, header, label, values of a result): both single-column readers
-# share one format and the same messages, up to the column's names.
+# (reader, header, label): both single-column readers share one format and
+# the same messages, up to the column's names.
 READERS = (
-    (read_loss_csv, "loss", "loss", lambda sample: sample.losses),
-    (read_pvalue_csv, "pvalue", "p-value", lambda values: values),
+    (read_loss_csv, "loss", "loss"),
+    (read_pvalue_csv, "pvalue", "p-value"),
 )
 
 
@@ -77,55 +61,55 @@ class TestLossCsv:
     """Every case runs through both readers, `read_loss_csv` and `read_pvalue_csv`."""
 
     def test_reads_lf(self, tmp_path):
-        for read, header, _, values in READERS:
+        for read, header, _ in READERS:
             path = write_losses(tmp_path, ["0", "0.25", "1"], header=header)
-            assert values(read(path)) == (0.0, 0.25, 1.0)
+            assert read(path) == (0.0, 0.25, 1.0)
 
     def test_reads_crlf_and_bom(self, tmp_path):
         path = tmp_path / "crlf.csv"
-        for read, header, _, values in READERS:
+        for read, header, _ in READERS:
             path.write_bytes(b"\xef\xbb\xbf" + header.encode() + b"\r\n0.5\r\n0.25\r\n")
-            assert values(read(str(path))) == (0.5, 0.25)
+            assert read(str(path)) == (0.5, 0.25)
 
     def test_row_precise_error(self, tmp_path):
-        for read, header, label, _ in READERS:
+        for read, header, label in READERS:
             path = write_losses(tmp_path, ["0.5", "1.5", "0.25"], header=header)
             assert read_error(read, path) == f"{path}: row 2: {label} 1.5 outside [0, 1]"
 
     def test_header_required(self, tmp_path):
-        for read, header, _, _ in READERS:
+        for read, header, _ in READERS:
             path = write_losses(tmp_path, ["0.5"], header="value")
             assert read_error(read, path) == (
                 f"{path}: expected a single `{header}` column header, got ['value']"
             )
 
     def test_non_numeric(self, tmp_path):
-        for read, header, _, _ in READERS:
+        for read, header, _ in READERS:
             path = write_losses(tmp_path, ["0.5", "oops"], header=header)
             assert read_error(read, path) == f"{path}: row 2: not a number: 'oops'"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        for read, header, _, _ in READERS:
+        for read, header, _ in READERS:
             assert read_error(read, str(path)) == (
                 f"{path}: empty file; expected a `{header}` header"
             )
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "header.csv"
-        for read, header, label, _ in READERS:
+        for read, header, label in READERS:
             path.write_text(header + "\n\n", encoding="utf-8")
             assert read_error(read, str(path)) == f"{path}: no {label} rows found"
 
     def test_extra_column(self, tmp_path):
-        for read, header, _, _ in READERS:
+        for read, header, _ in READERS:
             path = write_losses(tmp_path, ["0.5", "0.1,0.2"], header=header)
             assert read_error(read, path) == f"{path}: row 2: expected 1 column, got 2"
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.csv"
-        for read, _, _, _ in READERS:
+        for read, _, _ in READERS:
             assert read_error(read, str(path)).startswith(f"cannot read {path}: ")
 
 
@@ -221,6 +205,14 @@ class TestPvalue:
                            "--method", "prw")
         assert code == 0
         assert out.strip().splitlines()[1] == "0.0000,0.0000"
+
+    def test_losses_file_matches_rhat_and_n(self, capsys, tmp_path):
+        # n is the row count and rhat the exact mean of the rows
+        path = write_losses(tmp_path, ["0", "0.5", "1"])
+        flags = ("--alpha", "0.6", "--digits", "20")
+        _, from_file, _ = run(capsys, "pvalue", "--losses", path, *flags)
+        _, from_flags, _ = run(capsys, "pvalue", "--rhat", "0.5", "--n", "3", *flags)
+        assert from_file == from_flags
 
     def test_single_method_column(self, capsys):
         code, out, _ = run(capsys, "pvalue", "--rhat", "0.0", "--n", "100",

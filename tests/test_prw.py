@@ -185,9 +185,9 @@ class TestG:
         assert self.CTX.t_max == pytest.approx(0.09)
 
     def test_context_consistency_enforced(self):
-        # gamma and t_max are derived from (n, mean), never passed in
+        # gamma and t_max are derived from (n, alpha), never passed in
         with pytest.raises(TypeError):
-            GBoundContext(n=100, mean=0.1, gamma=9, t_max=0.08)
+            TestSpec(n=100, alpha=0.1, gamma=9, t_max=0.08)
 
     def test_at_zero(self):
         assert g(0.0, self.CTX) == pytest.approx((1 - 0.1) ** 100, rel=REL)
@@ -215,6 +215,13 @@ class TestG:
     def test_domain(self, t):
         with pytest.raises(ValueError):
             g(t, self.CTX)
+
+    @pytest.mark.parametrize("n,mean", [(100, 0.1), (1, 0.5), (37, 0.42)])
+    def test_from_mean_is_the_test_spec(self, n, mean):
+        # the benchmark worker builds its g_inverse context this way
+        ctx, spec = GBoundContext.from_mean(n, mean), TestSpec(n, mean)
+        assert ctx == spec
+        assert (ctx.gamma, ctx.t_max) == (spec.gamma, spec.t_max)
 
     def test_single_step_domain_pins_value_at_one(self):
         # gamma = 1 collapses the domain to {0}, where the boundary clamp applies
@@ -291,7 +298,7 @@ def g_inverse_by_scan(delta, ctx):
     """The linear scan g_inverse replaced: the last grid point whose step is <= delta."""
     best = -1
     for j in range(ctx.gamma - 1):
-        if lower_tail_bound(ctx.n, ctx.mean, j) <= delta:
+        if lower_tail_bound(ctx.n, ctx.alpha, j) <= delta:
             best = j
     if best < 0:
         raise ValueError("no grid point qualifies")
@@ -306,10 +313,10 @@ def test_g_inverse_bisection_equals_scan():
         ctx = GBoundContext.from_mean(n, rng.uniform(0.001, 0.999))
         if ctx.gamma < 2:
             continue
-        underflowing += lower_tail_bound(ctx.n, ctx.mean, 0) == 0.0
+        underflowing += lower_tail_bound(ctx.n, ctx.alpha, 0) == 0.0
         if rng.random() < 0.5:
             # exactly on a step value: ties must count as qualifying
-            delta = lower_tail_bound(ctx.n, ctx.mean, rng.randrange(ctx.gamma - 1))
+            delta = lower_tail_bound(ctx.n, ctx.alpha, rng.randrange(ctx.gamma - 1))
         else:
             delta = 10.0 ** rng.uniform(-320, 0)
         if not 0.0 < delta < 1.0:
@@ -321,7 +328,7 @@ def test_g_inverse_bisection_equals_scan():
             with pytest.raises(ValueError, match="below the smallest attainable"):
                 g_inverse(delta, ctx)
             continue
-        assert g_inverse(delta, ctx) == want, (n, ctx.mean, delta)
+        assert g_inverse(delta, ctx) == want, (n, ctx.alpha, delta)
     assert checked >= 200
     assert underflowing >= 20  # the draws reach contexts whose first steps are 0.0
 
