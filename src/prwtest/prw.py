@@ -126,7 +126,10 @@ def upper_tail_bound(n: int, p: float, t: int) -> float:
     t = operator.index(t)
     if not n * p < t <= n:
         raise ValueError(f"t must be an integer in (n*p, n] = ({n * p}, {n}], got {t}")
-    factor = (t - t * p) / (t - n * p)
+    # t(1 - p)/(t - np) over integers with p = a/d: one rounding, not five,
+    # so the factor keeps its precision near the pole t = np
+    a, d = p.as_integer_ratio()
+    factor = t * (d - a) / (t * d - n * a)
     return factor * sf(BinomialParams(n, p), t)
 
 
@@ -144,7 +147,8 @@ def lower_tail_bound(n: int, mean: float, k: int) -> float:
     # landing a few ulps off an integer.
     if not 0 <= k <= gamma_r(n, mean) - 1:
         raise ValueError(f"k must be an integer in [0, n*mean) = [0, {n * mean}), got {k}")
-    factor = mean * (n - k) / (n * mean - k)
+    a, d = mean.as_integer_ratio()  # as in upper_tail_bound
+    factor = a * (n - k) / (n * a - k * d)
     return factor * cdf(BinomialParams(n, mean), k)
 
 

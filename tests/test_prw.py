@@ -177,6 +177,15 @@ def test_tail_duality(n, mean, data):
     assert lower == pytest.approx(upper, rel=1e-12)
 
 
+def test_factors_near_pole_match_oracle():
+    # t - n*p = 0.019 and n*mean - k = 0.0067 here; a factor built in floats
+    # lost 1.2e-12 and 2.9e-12 relative to cancellation in its denominator
+    p = 1 - 0.06695397537193148
+    assert rel_err(upper_tail_bound(299, p, 279), upper_tail_bound_exact(299, p, 279)) < REL
+    mean = 0.9755616414453229
+    assert rel_err(lower_tail_bound(368, mean, 359), lower_tail_bound_exact(368, mean, 359)) < REL
+
+
 class TestG:
     CTX = GBoundContext.from_mean(100, 0.1)
 
