@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import bentkus_pvalue, hoeffding_tight_pvalue
-from .prw import TestSpec, prw_pvalue
+from .prw import TestSpec, _check_positive_int, prw_pvalue
 
 __all__ = [
     "LossDistribution",
@@ -110,13 +110,6 @@ class McReport:
     seed: int
 
 
-def _validate_reps(reps: int) -> int:
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError(f"reps must be a positive integer, got {reps!r}")
-    return reps
-
-
 def _sample_pvalues(
     dist: LossDistribution, spec: TestSpec, methods: Sequence[str], reps: int, seed: int
 ) -> dict[str, np.ndarray]:
@@ -146,7 +139,7 @@ def simulate_superuniformity(
     else would measure power, not validity.  Standard errors are the
     binomial plug-in ``sqrt(phat*(1-phat)/reps)``.
     """
-    reps = _validate_reps(reps)
+    reps = _check_positive_int(reps, "reps")
     if not dist.mean > spec.alpha:
         raise ValueError(
             f"null hypothesis must hold: dist mean {dist.mean} must exceed alpha {spec.alpha}"
@@ -178,7 +171,7 @@ def simulate_power(
     Every method sees the same sampled losses (a paired comparison), and
     requires ``dist.mean < spec.alpha``.
     """
-    reps = _validate_reps(reps)
+    reps = _check_positive_int(reps, "reps")
     if not dist.mean < spec.alpha:
         raise ValueError(
             f"alternative must hold: dist mean {dist.mean} must be below alpha {spec.alpha}"

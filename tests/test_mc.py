@@ -207,3 +207,12 @@ class TestPower:
                 LossDistribution.bernoulli(0.01), TestSpec(n=10, alpha=0.1),
                 [], delta=0.05, reps=10, seed=0,
             )
+
+
+@pytest.mark.parametrize("reps", [0, 2.5, "3"])
+def test_simulations_reject_non_positive_integer_reps(reps):
+    spec = TestSpec(n=10, alpha=0.1)
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        simulate_superuniformity(LossDistribution.bernoulli(0.5), spec, "prw", (0.05,), reps, 0)
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        simulate_power(LossDistribution.bernoulli(0.01), spec, ["prw"], 0.05, reps, 0)
