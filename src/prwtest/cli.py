@@ -47,6 +47,9 @@ DEFAULT_COMPARE_GRID: tuple[float, ...] = (
 )
 
 DEFAULT_PLOT_POINTS = 1000
+# Most values a --grid may hold in [0, 1], so a tiny step fails fast
+# instead of filling memory.
+MAX_GRID_POINTS = 10**6
 DIGITS_ENV_VAR = "PRWTEST_DIGITS"
 # Most decimals --digits may ask for.  A double holds 17 significant digits,
 # so 27 decimals already show every value above 1e-10 in full.
@@ -158,6 +161,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
         raise DataError(f"grid step must be positive, got {step!r}")
     if stop < start:
         raise DataError(f"grid stop must be >= start, got {text!r}")
+    if (min(stop, 1.0) - start) / step >= MAX_GRID_POINTS:
+        raise DataError(f"grid must hold at most {MAX_GRID_POINTS} points, got {text!r}")
     # Not range(count): a huge stop overflows the count; the loop ends above 1
     limit = (stop - start) / step + 1e-9
     values = []

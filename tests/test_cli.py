@@ -118,7 +118,7 @@ class TestParsers:
         assert parse_grid("0:0.001:0.002") == pytest.approx((0.0, 0.001, 0.002))
 
     def test_grid_rejects_bad_step(self):
-        for text in ("0:-0.1:1", "0:inf:1"):
+        for text in ("0:-0.1:1", "0:inf:1", "0:1e-10:1", "0:1e-320:1e10"):
             with pytest.raises(DataError):
                 parse_grid(text)
 
@@ -126,6 +126,9 @@ class TestParsers:
         for text in ("0.5:0.5:1.5", "0:0.1:inf", "-inf:0.1:1"):
             with pytest.raises(DataError):
                 parse_grid(text)
+        # a huge stop names the first value past 1, not the grid's size
+        with pytest.raises(DataError, match=r"^grid value 1\.1 outside \[0, 1\]$"):
+            parse_grid("0:0.1:1e300")
 
     def test_dist_specs(self):
         assert parse_dist("bernoulli:0.2").mean == 0.2
