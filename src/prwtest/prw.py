@@ -78,6 +78,7 @@ class TestSpec:
 
     @classmethod
     def from_mean(cls, n: int, mean: float) -> "TestSpec":
+        """The step bound's context at (n, mean): ``TestSpec(n, mean)``."""
         return cls(n, mean)
 
 
