@@ -476,8 +476,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -1,23 +1,26 @@
 """Seeded Monte Carlo harness for p-value validity and power measurements.
 
 Sampling is fully deterministic given the seed: one numpy ``default_rng``
-(PCG64) stream per simulation call, consumed by a single block draw of shape
-``(reps, n)``.  Bernoulli losses are uniform-threshold draws, beta losses use
-``Generator.beta``, and discrete losses use ``Generator.choice``; changing
-any of these would silently invalidate pinned fixtures, so they are part of
-the contract.
+(PCG64) stream per simulation call, drawn in row chunks of ``(rows, n)`` that
+are bitwise identical to a single block draw of shape ``(reps, n)``.  Each
+chunk is reduced to exceedance counts before the next is drawn, so memory is
+O(max(n, 2**18)) values, independent of ``reps``.  Bernoulli losses are
+uniform-threshold draws, beta losses use ``Generator.beta``, and discrete
+losses use ``Generator.choice``; changing any of these would silently
+invalidate pinned fixtures, so they are part of the contract.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .baselines import bentkus_pvalue, hoeffding_tight_pvalue
-from .prw import TestSpec, _check_positive_int, prw_pvalue
+from .prw import TestSpec, _check_open_unit, _check_positive_int, prw_pvalue
 
 __all__ = [
     "LossDistribution",
@@ -36,6 +39,8 @@ PVALUE_METHODS = {
 }
 
 _MEAN_TOL = 1e-12
+# Losses drawn per chunk (2 MiB of float64); a chunk holds at least one row.
+_CHUNK_VALUES = 1 << 18
 
 
 def canonical_method(method: str) -> str:
@@ -65,8 +70,9 @@ class LossDistribution:
     def beta(cls, a: float, b: float) -> "LossDistribution":
         a = float(a)
         b = float(b)
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError(f"beta shape parameters must be positive, got ({a!r}, {b!r})")
+        # a + b must not overflow, or the mean a / (a + b) is wrong or nan
+        if not (a > 0.0 and b > 0.0 and math.isfinite(a + b)):
+            raise ValueError(f"beta shapes must be positive with a finite sum, got ({a!r}, {b!r})")
         return cls(kind="beta", params=(a, b), mean=a / (a + b))
 
     @classmethod
@@ -112,17 +118,19 @@ class McReport:
 
 def _sample_pvalues(
     dist: LossDistribution, spec: TestSpec, methods: Sequence[str], reps: int, seed: int
-) -> dict[str, np.ndarray]:
-    """Per-replication p-values for every method, from one shared loss block."""
+) -> Iterator[dict[str, np.ndarray]]:
+    """Per-replication p-values for every method, one chunk of rows at a time.
+
+    Every method sees the same losses.  numpy fills a block row after row
+    from the stream, so the chunks, in order, are the rows of the single
+    ``(reps, n)`` block draw.
+    """
+    fns = {name: PVALUE_METHODS[name] for name in map(canonical_method, methods)}
     rng = np.random.default_rng(seed)
-    losses = dist.sample(rng, (reps, spec.n))
-    rhats = losses.mean(axis=1)
-    out: dict[str, np.ndarray] = {}
-    for method in methods:
-        name = canonical_method(method)
-        fn = PVALUE_METHODS[name]
-        out[name] = np.array([fn(r, spec) for r in rhats])
-    return out
+    rows = max(1, _CHUNK_VALUES // spec.n)
+    for start in range(0, reps, rows):
+        rhats = dist.sample(rng, (min(rows, reps - start), spec.n)).mean(axis=1)
+        yield {name: np.array([fn(r, spec) for r in rhats]) for name, fn in fns.items()}
 
 
 def simulate_superuniformity(
@@ -144,14 +152,14 @@ def simulate_superuniformity(
         raise ValueError(
             f"null hypothesis must hold: dist mean {dist.mean} must exceed alpha {spec.alpha}"
         )
-    grid = tuple(float(d) for d in delta_grid)
+    grid = tuple(_check_open_unit(d, "delta values") for d in delta_grid)
     if not grid:
         raise ValueError("delta_grid must be non-empty")
-    for d in grid:
-        if math.isnan(d) or not 0.0 < d < 1.0:
-            raise ValueError(f"delta values must lie in (0, 1), got {d!r}")
-    (pvals,) = _sample_pvalues(dist, spec, [method], reps, seed).values()
-    exceedance = tuple(float(np.mean(pvals <= d)) for d in grid)
+    counts = np.zeros(len(grid), dtype=np.int64)
+    for chunk in _sample_pvalues(dist, spec, [method], reps, seed):
+        (pvals,) = chunk.values()
+        counts += [np.count_nonzero(pvals <= d) for d in grid]
+    exceedance = tuple(c / reps for c in counts.tolist())
     stderr = tuple(math.sqrt(e * (1.0 - e) / reps) for e in exceedance)
     return McReport(
         delta_grid=grid, exceedance=exceedance, stderr=stderr, reps=reps, seed=int(seed)
@@ -176,10 +184,11 @@ def simulate_power(
         raise ValueError(
             f"alternative must hold: dist mean {dist.mean} must be below alpha {spec.alpha}"
         )
-    delta = float(delta)
-    if math.isnan(delta) or not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    delta = _check_open_unit(delta, "delta")
     if not methods:
         raise ValueError("methods must be non-empty")
-    pvals = _sample_pvalues(dist, spec, methods, reps, seed)
-    return {name: float(np.mean(vals <= delta)) for name, vals in pvals.items()}
+    counts: Counter[str] = Counter()
+    for chunk in _sample_pvalues(dist, spec, methods, reps, seed):
+        for name, pvals in chunk.items():
+            counts[name] += int(np.count_nonzero(pvals <= delta))
+    return {name: count / reps for name, count in counts.items()}

@@ -402,6 +402,24 @@ class TestValidate:
                            "--alpha", "0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("dist", ["beta:inf:1", "beta:1:inf", "beta:1e308:1e308"])
+    def test_beta_shapes_that_break_the_mean_exit_2(self, capsys, dist):
+        # inf gave mean nan, and 1e308 + 1e308 overflows to a mean of 0.0
+        code, out, err = run(capsys, "validate", "--dist", dist, "--n", "10",
+                             "--alpha", "0.1", "--reps", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid distribution spec {dist!r}: ")
+        assert err.count("\n") == 1
+
+    def test_refused_allocation_exits_2(self, capsys):
+        # 10**15 float64 losses (7.1 PiB) exceed any 48-bit address space, so
+        # numpy refuses the request up front, before allocating anything
+        code, out, err = run(capsys, "validate", "--dist", "bernoulli:0.5",
+                             "--n", str(10**15), "--alpha", "0.1", "--reps", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -478,3 +496,33 @@ def test_importing_the_library_leaves_the_cli_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+# Runs the CLI, then prints its exit code and the process's own peak RSS
+# (VmHWM, kB) to stderr.  getrusage's ru_maxrss is no use here: a child
+# keeps its parent's peak across exec.
+PEAK_RSS_SCRIPT = """
+import re, sys
+from prwtest.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak_kb = int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+print(code, peak_kb, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_validate_peak_memory_does_not_grow_with_reps():
+    # One (reps, n) float64 block would be 160 MB here; row chunks hold
+    # 2 MiB of losses at a time, whatever reps is.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, "validate", "--dist", "bernoulli:0.11",
+         "--n", "1000", "--alpha", "0.1", "--reps", "20000", "--seed", "1"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    code, peak_kb = map(int, result.stderr.split()[-2:])
+    assert code == 0, result.stderr
+    assert peak_kb < 100 * 1024

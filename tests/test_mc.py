@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prwtest import mc
 from prwtest.baselines import bentkus_pvalue, hoeffding_tight_pvalue
 from prwtest.mc import (
     LossDistribution,
@@ -34,7 +35,11 @@ class TestLossDistribution:
         d = LossDistribution.beta(2, 38)
         assert d.mean == pytest.approx(0.05, abs=1e-15)
 
-    @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 3)])
+    @pytest.mark.parametrize("a,b", [
+        (0, 1), (1, 0), (-2, 3),
+        # a non-finite shape or an overflowing a + b breaks the mean a / (a + b)
+        (math.inf, 1), (1, math.inf), (math.nan, 1), (1e308, 1e308),
+    ])
     def test_beta_domain(self, a, b):
         with pytest.raises(ValueError):
             LossDistribution.beta(a, b)
@@ -216,3 +221,45 @@ def test_simulations_reject_non_positive_integer_reps(reps):
         simulate_superuniformity(LossDistribution.bernoulli(0.5), spec, "prw", (0.05,), reps, 0)
     with pytest.raises(ValueError, match="reps must be a positive integer"):
         simulate_power(LossDistribution.bernoulli(0.01), spec, ["prw"], 0.05, reps, 0)
+
+
+STREAM_LAWS = {
+    "bernoulli": LossDistribution.bernoulli(0.3),
+    "beta-shapes-ge-1": LossDistribution.beta(1.1, 9),
+    "beta-shape-lt-1": LossDistribution.beta(0.5, 0.3),  # another numpy sampler branch
+    "discrete": LossDistribution.scaled_discrete((0.0, 0.5, 1.0), (0.84, 0.11, 0.05)),
+    "point-mass": LossDistribution.scaled_discrete((0.75,), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("law", STREAM_LAWS)
+@pytest.mark.parametrize("chunk_values, n, reps, rows", [
+    (10, 3, 50, 3),     # rows summed by a plain loop
+    (91, 13, 50, 7),    # rows summed by numpy's unrolled pairwise loop
+    (100, 150, 9, 1),   # n > _CHUNK_VALUES, and rows split by pairwise recursion
+])
+def test_row_chunks_match_a_single_block_draw(monkeypatch, law, chunk_values, n, reps, rows):
+    """Chunked draws reproduce the single (reps, n) block bit for bit."""
+    dist, seed = STREAM_LAWS[law], 20241018
+    monkeypatch.setattr(mc, "_CHUNK_VALUES", chunk_values)
+    block_rhats = dist.sample(np.random.default_rng(seed), (reps, n)).mean(axis=1)
+
+    def reference(spec, method, delta):
+        pvals = np.array([mc.PVALUE_METHODS[method](r, spec) for r in block_rhats])
+        return float(np.mean(pvals <= delta))
+
+    spec = TestSpec(n=n, alpha=dist.mean / 2)
+    with monkeypatch.context() as m:
+        m.setitem(mc.PVALUE_METHODS, "prw", lambda rhat, spec: rhat)
+        chunks = [c["prw"] for c in mc._sample_pvalues(dist, spec, ["prw"], reps, seed)]
+    assert [len(c) for c in chunks] == [min(rows, reps - i) for i in range(0, reps, rows)]
+    assert np.concatenate(chunks).tobytes() == block_rhats.tobytes()
+
+    grid = (0.05, 0.3, 0.9)
+    for method in mc.PVALUE_METHODS:
+        rep = simulate_superuniformity(dist, spec, method, grid, reps, seed)
+        assert rep.exceedance == tuple(reference(spec, method, d) for d in grid)
+
+    alt = TestSpec(n=n, alpha=(1.0 + dist.mean) / 2)
+    rates = simulate_power(dist, alt, list(mc.PVALUE_METHODS), 0.3, reps, seed)
+    assert rates == {method: reference(alt, method, 0.3) for method in mc.PVALUE_METHODS}
