@@ -39,13 +39,17 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
 
     Uses the same integer-snapped ceiling as the PRW p-value, so the two
     step functions jump at identical grid points.  ``clamp=False`` reports
-    the raw ``e * cdf`` value for diagnostics.
+    the raw ``e * cdf`` value for diagnostics.  Each step's raw value is
+    computed once per spec and then looked up.
     """
     rhat = float(rhat)
     if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
         raise ValueError(f"rhat must lie in [0, 1], got {rhat!r}")
     k = ceil_scaled(spec.n, rhat)
-    value = math.e * cdf(BinomialParams(spec.n, spec.alpha), k)
+    steps = spec._bentkus_steps
+    value = steps.get(k)
+    if value is None:
+        value = steps[k] = math.e * cdf(BinomialParams(spec.n, spec.alpha), k)
     return min(1.0, value) if clamp else value
 
 

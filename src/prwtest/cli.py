@@ -476,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError, MemoryError) as exc:
+    except (DataError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -130,6 +130,7 @@ def _sample_pvalues(
     rows = max(1, _CHUNK_VALUES // spec.n)
     for start in range(0, reps, rows):
         rhats = dist.sample(rng, (min(rows, reps - start), spec.n)).mean(axis=1)
+        rhats = rhats.tolist()  # Python floats are cheaper to pass than np.float64
         yield {name: np.array([fn(r, spec) for r in rhats]) for name, fn in fns.items()}
 
 

@@ -75,6 +75,12 @@ class TestSpec:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "t_max", (gamma - 1) / n)
+        # Raw p-value steps of prw_pvalue and bentkus_pvalue, filled on
+        # first use and keyed by the snapped ceiling k (see prw_pvalue for
+        # its boundary key).  Not fields, so equality, hash and repr ignore
+        # them; concurrent misses at worst store the same value twice.
+        object.__setattr__(self, "_prw_steps", {})
+        object.__setattr__(self, "_bentkus_steps", {})
 
     @classmethod
     def from_mean(cls, n: int, mean: float) -> "TestSpec":
@@ -213,10 +219,22 @@ def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
 
     Evaluates the step bound at min(rhat, spec.t_max) and reports
     min(1, value).  ``clamp=False`` returns the raw bound value, which
-    exceeds 1 in the capped region; useful for diagnostics only.
+    exceeds 1 in the capped region; useful for diagnostics only.  Each
+    step's raw value is computed by ``g`` once per spec and then looked up.
     """
     rhat = float(rhat)
     if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
         raise ValueError(f"rhat must lie in [0, 1], got {rhat!r}")
-    value = g(min(rhat, spec.t_max), spec)
+    t = min(rhat, spec.t_max)
+    # g's own split: the snapped boundary, which g clamps below by 1, gets
+    # the key -1, and every other t the snapped ceiling of n*t
+    nt = spec.n * t
+    if abs(nt - (spec.gamma - 1)) <= SNAP_RTOL * max(1.0, nt):
+        key = -1
+    else:
+        key = ceil_scaled(spec.n, t)
+    steps = spec._prw_steps
+    value = steps.get(key)
+    if value is None:
+        value = steps[key] = g(t, spec)
     return min(1.0, value) if clamp else value

@@ -15,7 +15,7 @@ from prwtest.baselines import (
     kl_bernoulli,
 )
 from prwtest.binomial import BinomialParams, cdf
-from prwtest.prw import TestSpec, prw_pvalue
+from prwtest.prw import SNAP_RTOL, TestSpec, ceil_scaled, g, prw_pvalue
 
 REL = 1e-12
 SPEC = TestSpec(n=100, alpha=0.1)
@@ -193,3 +193,80 @@ def test_all_methods_in_unit_interval(rhat):
     rep = compare(rhat, SPEC)
     for v in (rep.prw, rep.bentkus, rep.hoeffding_tight):
         assert 0.0 <= v <= 1.0
+
+
+def prw_reference(rhat: float, spec: TestSpec) -> float:
+    """Unmemoised raw PRW value: the step bound at the capped risk."""
+    return g(min(rhat, spec.t_max), spec)
+
+
+def bentkus_reference(rhat: float, spec: TestSpec) -> float:
+    """Unmemoised raw Bentkus value at the snapped ceiling."""
+    return math.e * cdf(BinomialParams(spec.n, spec.alpha), ceil_scaled(spec.n, rhat))
+
+
+def edge_points(spec: TestSpec) -> list[float]:
+    """t_max a few ulps either side, and n*t just inside and outside the
+    snap tolerance of the boundary gamma - 1."""
+    points = []
+    for direction in (0.0, 1.0):
+        x = spec.t_max
+        for _ in range(3):
+            x = math.nextafter(x, direction)
+            points.append(x)
+    boundary = spec.gamma - 1
+    tol = SNAP_RTOL * max(1.0, boundary)
+    for f in (0.5, 0.999, 1.001, 2.0):
+        points += [(boundary - f * tol) / spec.n, (boundary + f * tol) / spec.n]
+    return [x for x in points if 0.0 <= x <= 1.0]
+
+
+def assert_memo_matches_reference(spec: TestSpec, points) -> None:
+    """Clamped and raw values, on the first and on a repeat call, equal the
+    unmemoised references bit for bit.  The first pass alternates which of
+    the two calls fills an entry."""
+    for repeat in (False, True):
+        for i, rhat in enumerate(points):
+            for fn, ref in ((prw_pvalue, prw_reference), (bentkus_pvalue, bentkus_reference)):
+                want = ref(rhat, spec)
+                calls = [(fn(rhat, spec), min(1.0, want)),
+                         (fn(rhat, spec, clamp=False), want)]
+                if i % 2 and not repeat:
+                    calls.reverse()
+                for got, expected in calls:
+                    assert got == expected, (fn.__name__, spec, rhat, repeat)
+
+
+class TestStepMemo:
+    @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (400, 0.3), (2, 0.7), (1, 0.5)])
+    def test_memoised_values_equal_unmemoised_reference(self, n, alpha):
+        spec = TestSpec(n=n, alpha=alpha)
+        on_grid = [j / n for j in range(n + 1)]
+        off_grid = [(j + 0.37) / n for j in range(n)]
+        assert_memo_matches_reference(spec, on_grid + off_grid + edge_points(spec))
+
+    @given(
+        n=st.integers(1, 300),
+        alpha=st.floats(0.001, 0.999, allow_nan=False),
+        rhats=st.lists(st.floats(0, 1, allow_nan=False), max_size=20),
+    )
+    def test_memo_matches_reference_on_drawn_specs(self, n, alpha, rhats):
+        spec = TestSpec(n=n, alpha=alpha)
+        assert_memo_matches_reference(spec, rhats + edge_points(spec))
+
+    @pytest.mark.parametrize("order", [(0.3, 0.5), (0.5, 0.3)])
+    def test_only_the_snapped_boundary_is_clamped_below_by_one(self, order):
+        # At (2, 0.7) both 0.3 and 0.5 have ceiling 1 = gamma - 1, but only
+        # 0.5 snaps onto the boundary; 0.3 keeps the raw step value
+        spec = TestSpec(n=2, alpha=0.7)
+        want = {0.3: 0.8925000000000003, 0.5: 1.0}
+        for rhat in order + order:
+            assert prw_pvalue(rhat, spec, clamp=False) == want[rhat]
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self):
+        queried, fresh = TestSpec(n=100, alpha=0.1), TestSpec(n=100, alpha=0.1)
+        prw_pvalue(0.05, queried)
+        bentkus_pvalue(0.05, queried)
+        assert queried == fresh
+        assert hash(queried) == hash(fresh)
+        assert repr(queried) == repr(fresh) == "TestSpec(n=100, alpha=0.1, gamma=10, t_max=0.09)"

@@ -421,6 +421,16 @@ class TestValidate:
         assert err.count("\n") == 1
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("command", [["pvalue", "--rhat", "0.1"], ["compare"], ["plotdata"]])
+    def test_n_too_large_for_the_binomial_anchor_exits_2(self, capsys, command):
+        # math.comb refuses a mode index above sys.maxsize with OverflowError
+        code, out, err = run(capsys, *command, "--n", str(10**20), "--alpha", "0.1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
 class TestUsage:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
