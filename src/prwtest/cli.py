@@ -65,7 +65,46 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
 
     UTF-8 (BOM tolerated), LF or CRLF line endings.  Any malformed or
     out-of-range value raises DataError naming the offending data row.
+    A plain file is parsed in one bulk pass; every other file, and every
+    error, goes through the csv row scan, which gives the same values.
     """
+    values = _read_plain_column(path, header)
+    return _scan_rows(path, header, label) if values is None else values
+
+
+def _read_plain_column(path: str, header: str) -> Optional[tuple[float, ...]]:
+    """The column's values in one bulk pass, or None to leave the file to the row scan.
+
+    Only a file with no quote, comma or lone CR, no line at the csv field
+    limit, the header on its first line and one in-range number on every
+    other line qualifies.  Then each line is one unquoted csv field, and
+    float() strips the same whitespace as the row scan's str.strip().
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read().replace("\r\n", "\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    if '"' in text or "," in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or lines[0].strip() != header:
+        return None
+    if max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    try:
+        values = tuple(map(float, lines[1:]))
+    except ValueError:  # blank lines and bad values alike
+        return None
+    if min(values) < 0.0 or max(values) > 1.0 or any(map(math.isnan, values)):
+        return None
+    return values
+
+
+def _scan_rows(path: str, header: str, label: str) -> tuple[float, ...]:
+    """The csv row scan behind ``_read_column``: the source of every read error."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
@@ -471,9 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call, not at import, and shared by later calls.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (DataError, ValueError, MemoryError, OverflowError) as exc:

@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from prwtest import cli
 from prwtest.cli import (
     DEFAULT_COMPARE_GRID,
     DataError,
@@ -111,6 +114,93 @@ class TestLossCsv:
         path = tmp_path / "absent.csv"
         for read, _, _ in READERS:
             assert read_error(read, str(path)).startswith(f"cannot read {path}: ")
+
+
+# Lines of a generated single-column file: values the bulk path can take,
+# and lines it must leave to the csv row scan.
+PLAIN_ROWS = ("0", "1", "0.5", "0.125", " 0.25 ", "1e-3", "-0.0", "1.0", "0.1\t")
+ODD_ROWS = (
+    "", "   ", '"0.5"', '"0,5"', "0.1,0.2", "\x1c0.5", "\u30000.5\u3000", "\x1c", "1_0",
+    "0_5", "nan", "-nan", "inf", "-inf", "1.5", "-0.1", "oops", "0.5\x00", "\x00", '0.5"',
+)
+# csv.field_size_limit() is 131072; the row scan takes a field of exactly that size
+LONG_ROWS = tuple("0." + "0" * (size - 2) for size in (131_071, 131_072, 131_073))
+HEADERS = ("loss", " loss ", "\x1closs", "value", "loss,x", '"loss"', "", "loss\x00")
+
+
+@st.composite
+def column_files(draw):
+    """Bytes of a loss file that mixes line endings, odd rows and decode errors."""
+    sometimes = st.sampled_from((True, False, False, False))
+    plain = st.sampled_from(PLAIN_ROWS) | st.floats(0, 1).map(repr)
+    rows = draw(st.lists(plain, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(ODD_ROWS)))
+    header = draw(st.sampled_from(HEADERS)) if draw(sometimes) else "loss"
+    if draw(sometimes):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(LONG_ROWS)))
+    ending = st.sampled_from(("\n", "\r\n", "\r"))
+    endings = draw(st.lists(ending, min_size=len(rows) + 1, max_size=len(rows) + 1))
+    if not draw(sometimes):  # one style throughout, as most real files have
+        endings = [endings[0]] * len(endings)
+    if not draw(st.booleans()):
+        endings[-1] = ""  # no newline at the end of the file
+    data = b"".join(
+        (line + end).encode() for line, end in zip([header] + rows, endings)
+    )
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(sometimes):
+        # invalid UTF-8 past the text reader's first 8192-byte chunk, so the
+        # row scan has already read some rows when decoding fails
+        data += b"0.5\n" * 2100 + draw(st.sampled_from((b"\xff", b"\xe3\x80", b"0.\xc3(")))
+        data += b"\n0.5\n"
+    return data
+
+
+def read_outcome(read, path, *args):
+    try:
+        return tuple(v.hex() for v in read(path, *args))
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+class TestBulkRead:
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=column_files(), pvalues=st.booleans())
+    def test_matches_the_row_scan(self, tmp_path, data, pvalues):
+        header, label = ("pvalue", "p-value") if pvalues else ("loss", "loss")
+        data = data.replace(b"loss", header.encode())
+        path = tmp_path / "column.csv"
+        path.write_bytes(data)
+        assert read_outcome(cli._read_column, str(path), header, label) == (
+            read_outcome(cli._scan_rows, str(path), header, label)
+        )
+
+    def test_each_odd_line_matches_the_row_scan(self, tmp_path):
+        path = tmp_path / "column.csv"
+        for ending in ("\n", "\r\n", "\r"):
+            files = [[header, "0.5"] for header in HEADERS]
+            files += [["loss", "0.5", row, "0.25"] for row in ODD_ROWS + LONG_ROWS]
+            for lines in files:
+                path.write_bytes(b"\xef\xbb\xbf" + ending.join(lines).encode())
+                assert read_outcome(cli._read_column, str(path), "loss", "loss") == (
+                    read_outcome(cli._scan_rows, str(path), "loss", "loss")
+                ), lines
+
+    @pytest.mark.parametrize("data", [
+        b"loss\n0\n0.25\n1\n",
+        b"\xef\xbb\xbfloss\r\n0\r\n0.25\r\n1",
+        b" loss \n 0 \n0.25\t\n1.0e0\n",
+    ])
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch, data):
+        def no_scan(*args):
+            raise AssertionError("the row scan ran")
+
+        monkeypatch.setattr(cli, "_scan_rows", no_scan)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(data)
+        assert read_loss_csv(str(path)) == (0.0, 0.25, 1.0)
 
 
 class TestParsers:
@@ -422,13 +512,13 @@ class TestValidate:
 
 
 class TestOverflow:
-    @pytest.mark.parametrize("command", [["pvalue", "--rhat", "0.1"], ["compare"], ["plotdata"]])
+    @pytest.mark.parametrize("command", [["pvalue", "--rhat", "0.1"], ["compare"], ["plotdata"],
+                                         ["validate", "--dist", "bernoulli:0.2"]])
     def test_n_too_large_for_the_binomial_anchor_exits_2(self, capsys, command):
-        # math.comb refuses a mode index above sys.maxsize with OverflowError
+        # TestSpec refuses an n above sys.maxsize, which math.comb cannot take
         code, out, err = run(capsys, *command, "--n", str(10**20), "--alpha", "0.1")
         assert (code, out) == (2, "")
-        assert err.startswith("error: ")
-        assert err.count("\n") == 1
+        assert err == f"error: n must be at most {sys.maxsize}, got {10**20}\n"
 
 
 class TestUsage:
@@ -441,6 +531,47 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["pvalue"])  # --alpha is required
         assert exc.value.code == 2
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, tmp_path):
+    losses = write_losses(tmp_path, ["0.01", "0.02", "0"])
+    pvalues = write_pvalues(tmp_path, [0.01, 0.2])
+    calls = (
+        ["pvalue", "--losses", losses, "--alpha", "0.1"],
+        ["fwer", pvalues, "--procedure", "bonferroni", "--delta", "0.05"],
+        ["pvalue", "--alpha", "0.1", "--method", "nope"],
+        ["--help"],
+        ["pvalue", "--rhat", "0.03", "--n", "100", "--alpha", "0.1", "--format", "json"],
+    )
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+
+    def run_calls(fresh):
+        monkeypatch.setattr(cli, "_parser", None)
+        results = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # usage errors and --help
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    fresh = run_calls(fresh=True)
+    assert len(builds) == len(calls)
+    builds.clear()
+    assert run_calls(fresh=False) == fresh
+    assert len(builds) == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
 
 
 class TestDigits:
