@@ -510,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built by the first main() call, not at import, and shared by later calls.
+# Built by the first main() call, not at import, and shared by later calls;
+# parse_args leaves a parser unchanged, so one call cannot affect the next.
 _parser: Optional[argparse.ArgumentParser] = None
 
 

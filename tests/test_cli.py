@@ -161,7 +161,7 @@ def column_files(draw):
 def read_outcome(read, path, *args):
     try:
         return tuple(v.hex() for v in read(path, *args))
-    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+    except Exception as exc:  # the type and message are compared
         return type(exc), str(exc)
 
 
