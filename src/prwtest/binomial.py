@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +47,8 @@ class BinomialParams:
             raise ValueError(f"n must be a positive integer, got {self.n!r}") from None
         if n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if n > sys.maxsize:  # math.comb's limit in the exact anchor
+            raise ValueError(f"n must be at most {sys.maxsize}, got {self.n!r}")
         p = float(self.p)
         if math.isnan(p) or not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")

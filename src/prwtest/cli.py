@@ -13,13 +13,15 @@ only), 2 usage or data error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import json
 import math
 import os
 import sys
 from decimal import Decimal, ROUND_HALF_UP, localcontext
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence, TextIO
 
 from .baselines import compare
 from .fwer import FwerOutcome, FwerPlan, bonferroni, fallback, fixed_sequence
@@ -65,78 +67,109 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
 
     UTF-8 (BOM tolerated), LF or CRLF line endings.  Any malformed or
     out-of-range value raises DataError naming the offending data row.
-    A plain file is parsed in one bulk pass; every other file, and every
-    error, goes through the csv row scan, which gives the same values.
-    """
-    values = _read_plain_column(path, header)
-    return _scan_rows(path, header, label) if values is None else values
-
-
-def _read_plain_column(path: str, header: str) -> Optional[tuple[float, ...]]:
-    """The column's values in one bulk pass, or None to leave the file to the row scan.
-
-    Only a file with no quote, comma or lone CR, no line at the csv field
-    limit, the header on its first line and one in-range number on every
-    other line qualifies.  Then each line is one unquoted csv field, and
-    float() strips the same whitespace as the row scan's str.strip().
+    The file is opened once.  A plain file is parsed in one bulk pass; every
+    other file, and every error, goes through the csv row scan, which gives
+    the same values.  The scan rereads a seekable file from where the bulk
+    pass began, and reads a pipe from what the bulk pass kept of it.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read().replace("\r\n", "\n")
-    except (OSError, UnicodeDecodeError):
-        return None
-    if '"' in text or "," in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or lines[0].strip() != header:
-        return None
-    if max(map(len, lines)) >= csv.field_size_limit():
-        return None
-    try:
-        values = tuple(map(float, lines[1:]))
-    except ValueError:  # blank lines and bad values alike
-        return None
-    if min(values) < 0.0 or max(values) > 1.0 or any(map(math.isnan, values)):
-        return None
-    return values
-
-
-def _scan_rows(path: str, header: str, label: str) -> tuple[float, ...]:
-    """The csv row scan behind ``_read_column``: the source of every read error."""
-    try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        kept: Optional[list[bytes]] = None if fh.seekable() else []
+        values = _read_plain_column(fh, header, kept)
+        if values is not None:
+            return values
+        if kept is None:
+            # A fresh buffer over the rewound file, so the text layer reads
+            # it in the same chunks, and reports a decode error at the same
+            # position, as over a file it opened itself
+            fh.raw.seek(0)
+            source = io.BufferedReader(fh.raw)
+        else:
+            source = io.BytesIO(b"".join(kept) + fh.read())
+        with io.TextIOWrapper(source, encoding="utf-8-sig", newline="") as text:
+            return _scan_rows(text, path, header, label)
+
+
+# Bytes of whole lines the bulk pass parses at a time, so that what it holds
+# besides the values stays bounded whatever the size of the file.
+_BULK_BATCH_BYTES = 1 << 18
+
+
+def _read_plain_column(
+    fh: BinaryIO, header: str, kept: Optional[list[bytes]]
+) -> Optional[tuple[float, ...]]:
+    """The column's values in one bulk pass, or None to leave the file to the row scan.
+
+    Reads ``fh`` in batches of whole lines and, when ``kept`` is a list,
+    appends each batch's bytes to it.  Only a file with no lone CR, no line
+    at the csv field limit, the header on its first line and one in-range
+    number or nothing but ASCII whitespace on every other line qualifies.
+    float() rejects quotes, commas and every non-ASCII byte, so each line it
+    takes decodes to itself and is one unquoted csv field, and it strips
+    the same whitespace as the row scan's str.strip().  The row scan skips
+    the whitespace-only lines that bytes.strip() empties here.
+    """
+    limit = csv.field_size_limit()
+    values: list[float] = []
+    at_header = True
+    while lines := fh.readlines(_BULK_BATCH_BYTES):
+        chunk = b"".join(lines)
+        if kept is not None:
+            kept.append(chunk)
+        if chunk.count(b"\r") != chunk.count(b"\r\n"):  # the row scan splits at a lone CR
+            return None
+        if len(chunk) >= limit and max(map(len, lines)) >= limit:
+            return None
+        if at_header:
+            if lines.pop(0).removeprefix(codecs.BOM_UTF8).strip() != header.encode():
+                return None
+            at_header = False
+        try:
+            batch = list(map(float, lines))
+        except ValueError:  # whitespace-only lines, or a value only the row scan reports
+            try:
+                batch = list(map(float, filter(bytes.strip, lines)))
+            except ValueError:
+                return None
+        # a NaN makes the sum NaN; min and max alone can miss it
+        if batch and (min(batch) < 0.0 or max(batch) > 1.0 or math.isnan(sum(batch))):
+            return None
+        values += batch
+    return tuple(values) if values else None
+
+
+def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> tuple[float, ...]:
+    """The csv row scan behind ``_read_column``: the source of every read error."""
     values: list[float] = []
     row_number = -1  # the header is row 0, data rows count from 1
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader, None)
-            if first is None:
-                raise DataError(f"{path}: empty file; expected a `{header}` header")
-            if [h.strip() for h in first] != [header]:
-                raise DataError(
-                    f"{path}: expected a single `{header}` column header, got {first!r}"
-                )
-            row_number = 0
-            for row_number, row in enumerate(reader, start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 1:
-                    raise DataError(f"{path}: row {row_number}: expected 1 column, got {len(row)}")
-                text = row[0].strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise DataError(f"{path}: row {row_number}: not a number: {text!r}") from None
-                if math.isnan(value) or not 0.0 <= value <= 1.0:
-                    raise DataError(f"{path}: row {row_number}: {label} {text} outside [0, 1]")
-                values.append(value)
-        except csv.Error as exc:
-            raise DataError(f"{path}: row {row_number + 1}: {exc}") from None
+    reader = csv.reader(fh)
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise DataError(f"{path}: empty file; expected a `{header}` header")
+        if [h.strip() for h in first] != [header]:
+            raise DataError(
+                f"{path}: expected a single `{header}` column header, got {first!r}"
+            )
+        row_number = 0
+        for row_number, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 1:
+                raise DataError(f"{path}: row {row_number}: expected 1 column, got {len(row)}")
+            text = row[0].strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise DataError(f"{path}: row {row_number}: not a number: {text!r}") from None
+            if math.isnan(value) or not 0.0 <= value <= 1.0:
+                raise DataError(f"{path}: row {row_number}: {label} {text} outside [0, 1]")
+            values.append(value)
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {row_number + 1}: {exc}") from None
     if not values:
         raise DataError(f"{path}: no {label} rows found")
     return tuple(values)

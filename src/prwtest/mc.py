@@ -13,6 +13,7 @@ invalidate pinned fixtures, so they are part of the contract.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -125,6 +126,8 @@ def _sample_pvalues(
     from the stream, so the chunks, in order, are the rows of the single
     ``(reps, n)`` block draw.
     """
+    if spec.n > sys.maxsize:  # the largest dimension of a numpy array
+        raise ValueError(f"n must be at most {sys.maxsize}, got {spec.n}")
     fns = {name: PVALUE_METHODS[name] for name in map(canonical_method, methods)}
     rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK_VALUES // spec.n)

@@ -91,6 +91,12 @@ class TestKlBernoulli:
 
 
 class TestHoeffdingTight:
+    def test_n_beyond_the_binomial_anchor(self):
+        # exp(-n*KL) builds no binomial law, so n may exceed sys.maxsize
+        spec = TestSpec(10**20, 0.1)
+        assert hoeffding_tight_pvalue(0.1, spec) == 1.0
+        assert hoeffding_tight_pvalue(0.0999, spec) == 0.0
+
     def test_frozen_value(self):
         got = hoeffding_tight_pvalue(0.0667, SPEC)
         assert got == pytest.approx(0.5017060682921758, rel=REL)

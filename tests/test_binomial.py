@@ -5,6 +5,7 @@ Frozen expected values were computed with the exact rational oracle in
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,12 @@ class TestParams:
     def test_bad_n(self, n):
         with pytest.raises(ValueError):
             BinomialParams(n=n, p=0.5)
+
+    def test_n_above_maxsize_rejected(self):
+        # math.comb in the exact anchor refuses indices above sys.maxsize
+        assert BinomialParams(sys.maxsize, 0.1).n == sys.maxsize
+        with pytest.raises(ValueError, match=rf"^n must be at most {sys.maxsize}, got {10**20}$"):
+            BinomialParams(10**20, 0.1)
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
     def test_bad_p(self, p):

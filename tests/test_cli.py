@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -125,7 +126,7 @@ ODD_ROWS = (
 )
 # csv.field_size_limit() is 131072; the row scan takes a field of exactly that size
 LONG_ROWS = tuple("0." + "0" * (size - 2) for size in (131_071, 131_072, 131_073))
-HEADERS = ("loss", " loss ", "\x1closs", "value", "loss,x", '"loss"', "", "loss\x00")
+HEADERS = ("loss", " loss ", "\x1closs", "\rloss", "value", "loss,x", '"loss"', "", "loss\x00")
 
 
 @st.composite
@@ -162,20 +163,76 @@ def read_outcome(read, path, *args):
     try:
         return tuple(v.hex() for v in read(path, *args))
     except Exception as exc:  # the type and message are compared
-        return type(exc), str(exc)
+        return type(exc), str(exc).replace(path, "<path>")
+
+
+def row_scan(path, header, label):
+    """The csv row scan alone, over the file opened in text mode."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return cli._scan_rows(fh, path, header, label)
+
+
+def through_pipe(data, *args):
+    """Outcome of ``_read_column`` on `data` written to a pipe, as `<(...)` passes it."""
+    rfd, wfd = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(wfd, "wb") as writer:
+                writer.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return read_outcome(cli._read_column, f"/dev/fd/{rfd}", *args)
+    finally:
+        os.close(rfd)
+        feeder.join()
+
+
+# Batch sizes for the bulk pass: a few lines, one line or less, and the default
+BATCH_BYTES = st.sampled_from((1, 16, 64, cli._BULK_BATCH_BYTES))
 
 
 class TestBulkRead:
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=column_files(), pvalues=st.booleans())
-    def test_matches_the_row_scan(self, tmp_path, data, pvalues):
+    @given(data=column_files(), pvalues=st.booleans(), batch=BATCH_BYTES)
+    def test_matches_the_row_scan(self, tmp_path, monkeypatch, data, pvalues, batch):
+        monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", batch)
         header, label = ("pvalue", "p-value") if pvalues else ("loss", "loss")
         data = data.replace(b"loss", header.encode())
         path = tmp_path / "column.csv"
         path.write_bytes(data)
         assert read_outcome(cli._read_column, str(path), header, label) == (
-            read_outcome(cli._scan_rows, str(path), header, label)
+            read_outcome(row_scan, str(path), header, label)
         )
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=column_files(), batch=BATCH_BYTES)
+    def test_pipe_matches_a_regular_file(self, tmp_path, monkeypatch, data, batch):
+        # a pipe cannot be read twice, so the row scan reads what the bulk pass kept
+        monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", batch)
+        path = tmp_path / "column.csv"
+        path.write_bytes(data)
+        assert through_pipe(data, "loss", "loss") == (
+            read_outcome(row_scan, str(path), "loss", "loss")
+        )
+
+    @pytest.mark.parametrize("data, expected", [
+        (b'loss\n"0.5"\n0.25\n', (0.5, 0.25)),
+        (b"loss\n0.5\n\n0.25\n\n", (0.5, 0.25)),
+        (b"\xef\xbb\xbfloss\r\n0.5\r\n \r\n0.25\r\n", (0.5, 0.25)),
+        (b"loss\n0.5\n0.25\n", (0.5, 0.25)),
+        (b"loss\n0.5\noops\n", (DataError, "<path>: row 2: not a number: 'oops'")),
+        (b"loss\n", (DataError, "<path>: no loss rows found")),
+        (b"", (DataError, "<path>: empty file; expected a `loss` header")),
+    ])
+    def test_reads_every_form_through_a_pipe(self, data, expected):
+        if expected[0] is not DataError:
+            expected = tuple(v.hex() for v in expected)
+        assert through_pipe(data, "loss", "loss") == expected
 
     def test_each_odd_line_matches_the_row_scan(self, tmp_path):
         path = tmp_path / "column.csv"
@@ -185,19 +242,35 @@ class TestBulkRead:
             for lines in files:
                 path.write_bytes(b"\xef\xbb\xbf" + ending.join(lines).encode())
                 assert read_outcome(cli._read_column, str(path), "loss", "loss") == (
-                    read_outcome(cli._scan_rows, str(path), "loss", "loss")
+                    read_outcome(row_scan, str(path), "loss", "loss")
                 ), lines
 
+    @pytest.mark.parametrize("batch", [1, cli._BULK_BATCH_BYTES])
+    @pytest.mark.parametrize("head", [b"loss\n\n", b"\x1closs\n"])
+    def test_decode_error_matches_the_row_scan(self, tmp_path, monkeypatch, batch, head):
+        # the bulk pass reads the start of the file and declines it at its
+        # head; the row scan must still meet the bad byte in the same chunk
+        monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", batch)
+        data = head + b"0.5\n" * 2100 + b"\xff\n"
+        path = tmp_path / "column.csv"
+        path.write_bytes(data)
+        outcome = read_outcome(cli._read_column, str(path), "loss", "loss")
+        assert outcome[0] is UnicodeDecodeError
+        assert outcome == read_outcome(row_scan, str(path), "loss", "loss")
+
+    @pytest.mark.parametrize("batch", [1, cli._BULK_BATCH_BYTES])
     @pytest.mark.parametrize("data", [
         b"loss\n0\n0.25\n1\n",
         b"\xef\xbb\xbfloss\r\n0\r\n0.25\r\n1",
         b" loss \n 0 \n0.25\t\n1.0e0\n",
+        b"loss\n0\n\n0.25\n \t\r\n1\n\n",
     ])
-    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch, data):
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch, data, batch):
         def no_scan(*args):
             raise AssertionError("the row scan ran")
 
         monkeypatch.setattr(cli, "_scan_rows", no_scan)
+        monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", batch)
         path = tmp_path / "plain.csv"
         path.write_bytes(data)
         assert read_loss_csv(str(path)) == (0.0, 0.25, 1.0)
@@ -515,10 +588,16 @@ class TestOverflow:
     @pytest.mark.parametrize("command", [["pvalue", "--rhat", "0.1"], ["compare"], ["plotdata"],
                                          ["validate", "--dist", "bernoulli:0.2"]])
     def test_n_too_large_for_the_binomial_anchor_exits_2(self, capsys, command):
-        # TestSpec refuses an n above sys.maxsize, which math.comb cannot take
+        # the binomial law refuses an n above sys.maxsize, which math.comb
+        # cannot take, and so does the Monte Carlo sampler, which numpy cannot
         code, out, err = run(capsys, *command, "--n", str(10**20), "--alpha", "0.1")
         assert (code, out) == (2, "")
         assert err == f"error: n must be at most {sys.maxsize}, got {10**20}\n"
+
+    def test_hoeffding_tight_needs_no_binomial_anchor(self, capsys):
+        code, out, err = run(capsys, "pvalue", "--rhat", "0.1", "--n", str(10**20),
+                             "--alpha", "0.1", "--method", "hoeffding-tight")
+        assert (code, out, err) == (0, "rhat,hoeffding_tight\n0.1000,1.0000\n", "")
 
 
 class TestUsage:
