@@ -69,8 +69,8 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
     out-of-range value raises DataError naming the offending data row.
     The file is opened once.  A plain file is parsed in one bulk pass; every
     other file, and every error, goes through the csv row scan, which gives
-    the same values.  The scan rereads a seekable file from where the bulk
-    pass began, and reads a pipe from what the bulk pass kept of it.
+    the same values.  The scan rereads a seekable file from its start, and
+    a pipe from the bytes the bulk pass kept of it.
     """
     try:
         fh = open(path, "rb")

@@ -186,10 +186,12 @@ def through_pipe(data, *args):
     feeder = threading.Thread(target=feed)
     feeder.start()
     try:
-        return read_outcome(cli._read_column, f"/dev/fd/{rfd}", *args)
+        outcome = read_outcome(cli._read_column, f"/dev/fd/{rfd}", *args)
     finally:
         os.close(rfd)
-        feeder.join()
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    return outcome
 
 
 # Batch sizes for the bulk pass: a few lines, one line or less, and the default
