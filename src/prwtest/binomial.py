@@ -1,18 +1,20 @@
 """Numerically stable exact binomial tail probabilities.
 
 Every tail of one law ``Bin(n, p)`` is read from a single table built on
-first use: one exact anchor at the mode, the support on both sides filled
-by the term-ratio recurrence out to where the mass drops below the smallest
-subnormal double, and each tail accumulated from its far end inward, so
-values deep in a tail keep full relative precision instead of being lost to
-cancellation against 1.  Tables live in a bounded LRU cache of
-``_TABLE_CACHE_SIZE`` laws, so after the first query ``cdf`` and ``sf`` are
-lookups.  This module is the single special-function dependency of every
-bound in the package.
+first use: one correctly rounded anchor at the mode, the support on both
+sides filled by the term-ratio recurrence out to where the mass drops below
+the smallest subnormal double, and each tail accumulated from its far end
+inward, so values deep in a tail keep full relative precision instead of
+being lost to cancellation against 1.  The anchor comes from a tight
+enclosure of the exact rational term, so its cost barely grows with n.
+Tables live in a bounded LRU cache of ``_TABLE_CACHE_SIZE`` laws, so after
+the first query ``cdf`` and ``sf`` are lookups.  This module is the single
+special-function dependency of every bound in the package.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 import sys
@@ -32,6 +34,21 @@ _TABLE_CACHE_SIZE = 64
 _RESCALE = 2.0**-500
 _CUT_EXP = -1200
 
+# Bits kept in each mantissa of the anchor's enclosure (see ``_anchor``).
+_ANCHOR_BITS = 128
+# Up to this min(j, n - j), math.comb(n, j) costs less than the Stirling
+# enclosure of ``_comb_bounds``: each takes about 0.1 ms at the switch.
+_EXACT_COMB_MAX = 600
+# Decimal digits of the Stirling enclosure: its rounding slack
+# n * 10**(6 - prec) stays below 2**-80 for every n up to sys.maxsize.
+_DECIMAL = decimal.Context(prec=50)
+_LN2 = _DECIMAL.ln(2)
+_HALF_LN_2PI = decimal.Decimal("0.918938533204672741780329736405617639861397473637783412817152")
+# B_2i / (2i (2i - 1)) for i = 1..4; the i = 5 term, 1/1188, bounds the remainder.
+_STIRLING = tuple(
+    _DECIMAL.divide(num, den) for num, den in ((1, 12), (-1, 360), (1, 1260), (-1, 1680))
+)
+
 
 @dataclass(frozen=True)
 class BinomialParams:
@@ -47,7 +64,7 @@ class BinomialParams:
             raise ValueError(f"n must be a positive integer, got {self.n!r}") from None
         if n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if n > sys.maxsize:  # math.comb's limit in the exact anchor
+        if n > sys.maxsize:  # math.comb's limit, met by the exact fallback anchor
             raise ValueError(f"n must be at most {sys.maxsize}, got {self.n!r}")
         p = float(self.p)
         if math.isnan(p) or not 0.0 <= p <= 1.0:
@@ -62,10 +79,11 @@ def cdf(params: BinomialParams, k: int) -> float:
     Out-of-range k is accepted for caller convenience: k < 0 returns 0 and
     k >= n returns 1.  Interior values are looked up in the law's tail table
     (see ``_tail_table``), built once per (n, p) and kept for the 64 most
-    recently used laws.  They hold 1e-12 relative error against exact
-    rational sums, which the tests check at n = 1000 and 5000 for p = 0.1,
-    0.5 and 0.9 (and at n = 10_000 for p = 0.5).  A tail below the smallest
-    subnormal double is 0.0.
+    recently used laws.  They hold 1e-12 relative error, which the tests
+    check against exact rational sums at n = 1000 and 5000 for p = 0.1, 0.5
+    and 0.9 (and at n = 10_000 for p = 0.5), and against 200-bit mpmath sums
+    within 30 standard deviations of the mean at n = 1e5 and 1e6 for p = 0.1
+    and 0.5.  A tail below the smallest subnormal double is 0.0.
     """
     k = operator.index(k)
     n, p = params.n, params.p
@@ -111,13 +129,96 @@ def _pmf_exact(n: int, p: float, j: int) -> float:
     """Correctly rounded P(Bin(n, p) = j), treating p as its exact binary value.
 
     Exact integer arithmetic over the common denominator d**n of p = a/d,
-    rounded once by the integer true division, keeps the anchor term at
-    1/2 ulp, which is what lets the tail tables hold 1e-12 relative error at
-    large n (a log-gamma anchor alone drifts past that once n reaches the
-    thousands).
+    rounded once by the integer true division.  Its powers have about
+    n * 53 bits, so by n = 1e5 it takes a second; the tables take their
+    anchor from ``_anchor`` and come here only when that enclosure straddles
+    a rounding boundary.  The tests use it as the reference.
     """
     a, d = p.as_integer_ratio()
     return math.comb(n, j) * a**j * (d - a) ** (n - j) / d**n
+
+
+def _anchor(n: int, p: float, j: int) -> float:
+    """``_pmf_exact(n, p, j)`` for 0 < p < 1, without its big-integer powers.
+
+    Encloses comb(n, j) * a**j * (d - a)**(n - j) / d**n, d being a power
+    of two, between two products of _ANCHOR_BITS-bit mantissas scaled by
+    one power of two.  Rounding is monotone, so when both bounds round to
+    the same double that double is the correctly rounded value.  Otherwise
+    the exact value lies within the enclosure's relative width (below
+    n * 2**-124 + 2**-88, see the helpers) of a rounding boundary, and the
+    exact path decides.  A value halfway between two doubles has so few
+    bits that no factor is cut and both bounds equal it, so ``float``
+    rounds it half to even as the exact path does.  The bounds round to
+    normal doubles: they enclose a value of at least 1/(n + 1) when j is
+    the mode.
+    """
+    a, d = p.as_integer_ratio()
+    comb_lo, comb_hi, e = _comb_bounds(n, j)
+    e -= (d.bit_length() - 1) * n
+    bounds = []
+    for comb, up in ((comb_lo, False), (comb_hi, True)):
+        a_mant, a_exp = _pow_bound(a, j, up)
+        c_mant, c_exp = _pow_bound(d - a, n - j, up)
+        bounds.append(math.ldexp(float(comb * a_mant * c_mant), e + a_exp + c_exp))
+    lo, hi = bounds
+    return lo if lo == hi else _pmf_exact(n, p, j)
+
+
+def _pow_bound(x: int, k: int, up: bool) -> tuple[int, int]:
+    """(mantissa, exponent) of a bound on x**k: above it if ``up``, else below.
+
+    Square-and-multiply that cuts each product to _ANCHOR_BITS bits,
+    rounding every cut the same way.  A cut moves the bound by less than
+    2**(1 - _ANCHOR_BITS) relative, and each later squaring doubles that,
+    so the two bounds end at most 8 * k * 2**-_ANCHOR_BITS apart.
+    """
+    mant, exp = 1, 0
+    for bit in f"{k:b}":
+        mant *= mant
+        exp *= 2
+        if bit == "1":
+            mant *= x
+        cut = mant.bit_length() - _ANCHOR_BITS
+        if cut > 0:
+            mant = -(-mant >> cut) if up else mant >> cut
+            exp += cut
+    return mant, exp
+
+
+def _comb_bounds(n: int, j: int) -> tuple[int, int, int]:
+    """(lo, hi, exponent) with lo * 2**exponent <= comb(n, j) <= hi * 2**exponent.
+
+    math.comb when min(j, n - j) is at most _EXACT_COMB_MAX, where it is the
+    cheaper of the two; otherwise Stirling's series for the three
+    log-factorials, which at that size needs four terms for a remainder
+    below 2**-90.
+    """
+    k = min(j, n - j)
+    if k <= _EXACT_COMB_MAX:
+        comb = math.comb(n, k)
+        cut = max(0, comb.bit_length() - _ANCHOR_BITS)
+        return comb >> cut, -(-comb >> cut), cut
+    with decimal.localcontext(_DECIMAL):
+        log_comb = _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
+        # The first omitted term of each series bounds its remainder.  Each
+        # decimal operation rounds by at most 10**(1 - prec) / 2 relative to
+        # a term below 50 * n, so the few dozen of them stay far inside
+        # n * 10**(6 - prec).
+        slack = 3 / decimal.Decimal(1188 * k**9) + decimal.Decimal(n).scaleb(6 - _DECIMAL.prec)
+        exp = int(log_comb / _LN2) - _ANCHOR_BITS
+        scaled = log_comb - exp * _LN2  # ln(comb / 2**exp), about _ANCHOR_BITS * ln 2
+        # exp() rounds its result of about 2**_ANCHOR_BITS by far less than 1
+        return int((scaled - slack).exp()) - 1, int((scaled + slack).exp()) + 2, exp
+
+
+def _log_factorial(x: int) -> decimal.Decimal:
+    """ln(x!) from Stirling's series to the x**-7 term, in the current decimal context."""
+    inv = decimal.Decimal(1) / x
+    series = 0
+    for coef in reversed(_STIRLING):
+        series = series * inv * inv + coef
+    return (x + decimal.Decimal("0.5")) * decimal.Decimal(x).ln() - x + _HALF_LN_2PI + series * inv
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -143,7 +244,7 @@ def _tail_table(n: int, p: float) -> tuple[int, int, array, array]:
     keeps the relative precision.
     """
     m = min(n, math.floor((n + 1) * p))
-    anchor = _pmf_exact(n, p, m)
+    anchor = _anchor(n, p, m)
     q = 1.0 - p
     # 1 - p == q * (1 + drift) with |drift| < 2**-53; the ratios below use q,
     # so each term is off by (1 + drift)**(steps from the mode).

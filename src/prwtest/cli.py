@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 from decimal import Decimal, ROUND_HALF_UP, localcontext
@@ -127,13 +128,20 @@ def _read_plain_column(
             if lines.pop(0).removeprefix(codecs.BOM_UTF8).strip() != header.encode():
                 return None
             at_header = False
-        try:
-            batch = list(map(float, lines))
-        except ValueError:  # whitespace-only lines, or a value only the row scan reports
+        batch: list[float] = []
+        rest = iter(lines)
+        skipped = 0
+        while True:
             try:
-                batch = list(map(float, filter(bytes.strip, lines)))
-            except ValueError:
-                return None
+                batch.extend(map(float, rest))
+                break
+            except ValueError:  # a whitespace-only line, or a value only the row scan reports
+                failed = len(lines) - operator.length_hint(rest) - 1
+                # extend keeps what it appended before the error; were that
+                # ever not so, the count would differ and the row scan decide
+                if lines[failed].strip() or len(batch) != failed - skipped:
+                    return None
+                skipped += 1
         # a NaN makes the sum NaN; min and max alone can miss it
         if batch and (min(batch) < 0.0 or max(batch) > 1.0 or math.isnan(sum(batch))):
             return None

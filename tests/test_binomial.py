@@ -4,6 +4,7 @@ Frozen expected values were computed with the exact rational oracle in
 ``_oracle.py`` (see the test bodies that recompute them inline).
 """
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prwtest import binomial
 from prwtest.binomial import BinomialParams, _tail_table, cdf, sf
 
 from _oracle import binom_cdf_exact, binom_sf_exact, rel_err
@@ -30,7 +32,7 @@ class TestParams:
             BinomialParams(n=n, p=0.5)
 
     def test_n_above_maxsize_rejected(self):
-        # math.comb in the exact anchor refuses indices above sys.maxsize
+        # math.comb in the exact fallback anchor refuses indices above sys.maxsize
         assert BinomialParams(sys.maxsize, 0.1).n == sys.maxsize
         with pytest.raises(ValueError, match=rf"^n must be at most {sys.maxsize}, got {10**20}$"):
             BinomialParams(10**20, 0.1)
@@ -236,3 +238,126 @@ def test_scalar_results_are_python_floats(n, p):
     for k in range(n + 1):
         assert type(cdf(params, k)) is float
         assert type(sf(params, k)) is float
+
+
+def mode(n, p):
+    return min(n, math.floor((n + 1) * p))
+
+
+# p from all of (0, 1), with extra weight on values near 0 (down to the
+# smallest subnormal) and near 1 (up to 1 - 2**-53)
+OPEN_UNIT = (
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.floats(0.0, 1e-6, exclude_min=True)
+    | st.floats(1 - 1e-6, 1.0, exclude_max=True)
+)
+
+
+class TestAnchor:
+    """The table anchor: an enclosure that rounds to ``_pmf_exact`` bit for bit."""
+
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 3000), p=OPEN_UNIT)
+    def test_equals_the_exact_anchor(self, n, p):
+        m = mode(n, p)
+        assert binomial._anchor(n, p, m) == binomial._pmf_exact(n, p, m)
+
+    @pytest.mark.parametrize("n,p", [
+        (10_000, 0.1), (10_000, 0.5), (10_000, 0.9), (10_000, 1e-3),
+        (30_000, 0.3), (30_000, 0.5), (30_000, 0.97), (30_000, 2**-30),
+    ])
+    def test_equals_the_exact_anchor_at_large_n(self, n, p):
+        m = mode(n, p)
+        assert binomial._anchor(n, p, m) == binomial._pmf_exact(n, p, m)
+
+    @pytest.mark.parametrize("n,p", [(1, 0.3), (1, 0.2), (1, 1 / 3)])
+    def test_ties_round_half_to_even(self, n, p):
+        # P(X = 0) = 1 - p lies exactly halfway between two doubles
+        m = mode(n, p)
+        want = Fraction(math.comb(n, m)) * Fraction(p) ** m * (1 - Fraction(p)) ** (n - m)
+        got = binomial._anchor(n, p, m)
+        other = math.nextafter(got, 2.0 if want > got else 0.0)
+        assert (Fraction(got) + Fraction(other)) / 2 == want
+        assert math.frexp(got)[0] * 2**53 % 2 == 0  # the even neighbour
+        assert got == binomial._pmf_exact(n, p, m)
+
+    def test_wide_enclosure_falls_back_to_the_exact_anchor(self, monkeypatch):
+        # 24-bit mantissas make the enclosure wider than an ulp, so many
+        # anchors straddle a rounding boundary and must take the exact path
+        exact = binomial._pmf_exact
+        calls = []
+        cases = [(n, p) for n in (7, 60, 400, 1500, 3000) for p in (0.1, 0.37, 0.5, 0.93)]
+        want = [exact(n, p, mode(n, p)) for n, p in cases]
+        monkeypatch.setattr(binomial, "_ANCHOR_BITS", 24)
+        monkeypatch.setattr(binomial, "_pmf_exact", lambda *args: calls.append(args) or exact(*args))
+        assert [binomial._anchor(n, p, mode(n, p)) for n, p in cases] == want
+        assert 0 < len(calls) < len(cases)
+
+    @given(st.tuples(st.integers(1, 2**60), st.integers(0, 3000))
+           | st.tuples(st.integers(1, 2**1100), st.integers(0, 300)))
+    def test_power_bounds_enclose(self, case):
+        x, k = case
+        exact = x**k
+        lo, lo_exp = binomial._pow_bound(x, k, up=False)
+        hi, hi_exp = binomial._pow_bound(x, k, up=True)
+        assert lo * Fraction(2) ** lo_exp <= exact <= hi * Fraction(2) ** hi_exp
+        assert max(lo.bit_length(), hi.bit_length()) <= binomial._ANCHOR_BITS
+
+    @given(n=st.integers(1, 4000), data=st.data())
+    def test_comb_bounds_enclose(self, n, data):
+        # both branches: math.comb up to _EXACT_COMB_MAX, Stirling beyond it
+        j = data.draw(st.integers(0, n))
+        lo, hi, exp = binomial._comb_bounds(n, j)
+        assert lo * Fraction(2) ** exp <= math.comb(n, j) <= hi * Fraction(2) ** exp
+        assert (hi - lo) * 2**90 <= lo
+
+    def test_stirling_constants(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(300):
+            half_ln_2pi = mpmath.log(2 * mpmath.pi) / 2
+            assert abs(mpmath.mpf(str(binomial._HALF_LN_2PI)) - half_ln_2pi) < 1e-59
+            for i, coef in enumerate(binomial._STIRLING, start=1):
+                want = mpmath.bernoulli(2 * i) / (2 * i * (2 * i - 1))
+                assert abs(mpmath.mpf(str(coef)) - want) < 1e-50
+
+
+def mpmath_tails(n, p, ks):
+    """{k: (P(X <= k), P(X >= k))} from a 200-bit mpmath recurrence sum.
+
+    The mode term is mpmath's own binomial times the powers of p and 1 - p,
+    taken as the exact values of p and its complement; the sum runs over
+    the mode +- 35 standard deviations, beyond which the terms are below
+    exp(-160) of any term within 30.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a, d = p.as_integer_ratio()
+    c = d - a
+    m = mode(n, p)
+    reach = math.ceil(35 * math.sqrt(n * p * (1 - p)))
+    lo, hi = max(0, m - reach), min(n, m + reach)
+    with mpmath.workprec(200):
+        pf = mpmath.mpf(p)
+        w_mode = mpmath.binomial(n, m) * pf**m * (1 - pf) ** (n - m)
+        right, w = [w_mode], w_mode
+        for j in range(m, hi):
+            w = w * ((n - j) * a) / ((j + 1) * c)
+            right.append(w)
+        left, w = [], w_mode
+        for j in range(m, lo, -1):
+            w = w * (j * c) / ((n - j + 1) * a)
+            left.append(w)
+        terms = left[::-1] + right  # P(X = j) for j = lo, ..., hi
+        lower = list(itertools.accumulate(terms))
+        upper = list(itertools.accumulate(reversed(terms)))[::-1]
+        return {k: (lower[k - lo], upper[k - lo]) for k in ks}
+
+
+@pytest.mark.parametrize("n", [10**5, 10**6])
+@pytest.mark.parametrize("p", [0.1, 0.5])
+def test_large_n_tails_match_mpmath(n, p):
+    sd = math.sqrt(n * p * (1 - p))
+    ks = sorted({round(n * p + z * sd) for z in (-30, -20, -12, -6, -2, -1, 0, 1, 2, 6, 12, 20, 30)})
+    params = BinomialParams(n, p)
+    for k, (want_cdf, want_sf) in mpmath_tails(n, p, ks).items():
+        assert abs(cdf(params, k) - want_cdf) <= REL * want_cdf, ("cdf", k)
+        assert abs(sf(params, k) - want_sf) <= REL * want_sf, ("sf", k)

@@ -277,6 +277,38 @@ class TestBulkRead:
         path.write_bytes(data)
         assert read_loss_csv(str(path)) == (0.0, 0.25, 1.0)
 
+    @pytest.mark.parametrize("batch", [1, 64, cli._BULK_BATCH_BYTES])
+    @pytest.mark.parametrize("blanks", [
+        {5000: "\n"},
+        {5000: "\n\n \n"},
+        {0: "\n", 1: " \t\n", 2500: "\r\n", 4999: "\n\n"},
+        {i: "\n" for i in range(0, 5000, 2)},
+    ])
+    def test_blank_lines_stay_on_the_bulk_path(self, tmp_path, monkeypatch, blanks, batch):
+        # each line is parsed once: a blank line resumes the batch after itself
+        rows = [f"{(i * 0.6180339887) % 1.0!r}\n" for i in range(5000)]
+        path = tmp_path / "plain.csv"
+        path.write_text("loss\n" + "".join(rows))
+        want = read_loss_csv(str(path))
+
+        def no_scan(*args):
+            raise AssertionError("the row scan ran")
+
+        parsed = []
+
+        def counting_float(line):
+            parsed.append(line)
+            return float(line)
+
+        monkeypatch.setattr(cli, "_scan_rows", no_scan)
+        monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", batch)
+        monkeypatch.setattr(cli, "float", counting_float, raising=False)
+        for at, blank in sorted(blanks.items(), reverse=True):
+            rows.insert(at, blank)
+        path.write_text("loss\n" + "".join(rows))
+        assert read_loss_csv(str(path)) == want
+        assert len(parsed) == 5000 + sum(blank.count("\n") for blank in blanks.values())
+
 
 class TestParsers:
     def test_grid_inclusive(self):
