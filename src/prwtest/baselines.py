@@ -82,8 +82,9 @@ def hoeffding_tight_pvalue(rhat: float, spec: TestSpec) -> float:
     rhat = float(rhat)
     if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
         raise ValueError(f"rhat must lie in [0, 1], got {rhat!r}")
-    clipped = min(rhat, spec.alpha)
-    return math.exp(-spec.n * kl_bernoulli(clipped, spec.alpha))
+    if rhat >= spec.alpha:
+        return 1.0
+    return math.exp(-spec.n * kl_bernoulli(rhat, spec.alpha))
 
 
 def compare(rhat: float, spec: TestSpec) -> PValueReport:

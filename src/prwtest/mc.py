@@ -7,18 +7,22 @@ chunk is reduced to exceedance counts before the next is drawn, so memory is
 O(max(n, 2**18)) values, independent of ``reps``.  Bernoulli losses are
 uniform-threshold draws, beta losses use ``Generator.beta``, and discrete
 losses use ``Generator.choice``; changing any of these would silently
-invalidate pinned fixtures, so they are part of the contract.
+invalidate pinned fixtures, so they are part of the contract.  numpy is
+imported by the first draw, not by this module, so commands that never draw
+start without it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .baselines import bentkus_pvalue, hoeffding_tight_pvalue
 from .prw import TestSpec, _check_open_unit, _check_positive_int, prw_pvalue
@@ -98,12 +102,12 @@ class LossDistribution:
         """Draw losses of the given shape from one generator stream."""
         if self.kind == "bernoulli":
             (p,) = self.params
-            return (rng.random(size) < p).astype(np.float64)
+            return (rng.random(size) < p).astype(float)
         if self.kind == "beta":
             a, b = self.params
             return rng.beta(a, b, size)
         support, probs = self.params
-        return rng.choice(np.asarray(support, dtype=np.float64), p=probs, size=size)
+        return rng.choice(support, p=probs, size=size)
 
 
 @dataclass(frozen=True)
@@ -128,8 +132,12 @@ def _sample_pvalues(
     """
     if spec.n > sys.maxsize:  # the largest dimension of a numpy array
         raise ValueError(f"n must be at most {sys.maxsize}, got {spec.n}")
+    if not hasattr(seed, "__index__") or operator.index(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     fns = {name: PVALUE_METHODS[name] for name in map(canonical_method, methods)}
-    rng = np.random.default_rng(seed)
+    import numpy as np  # the only numpy import: commands that never draw never load it
+
+    rng = np.random.default_rng(operator.index(seed))
     rows = max(1, _CHUNK_VALUES // spec.n)
     for start in range(0, reps, rows):
         rhats = dist.sample(rng, (min(rows, reps - start), spec.n)).mean(axis=1)
@@ -159,11 +167,11 @@ def simulate_superuniformity(
     grid = tuple(_check_open_unit(d, "delta values") for d in delta_grid)
     if not grid:
         raise ValueError("delta_grid must be non-empty")
-    counts = np.zeros(len(grid), dtype=np.int64)
+    counts = [0] * len(grid)
     for chunk in _sample_pvalues(dist, spec, [method], reps, seed):
         (pvals,) = chunk.values()
-        counts += [np.count_nonzero(pvals <= d) for d in grid]
-    exceedance = tuple(c / reps for c in counts.tolist())
+        counts = [c + int((pvals <= d).sum()) for c, d in zip(counts, grid)]
+    exceedance = tuple(c / reps for c in counts)
     stderr = tuple(math.sqrt(e * (1.0 - e) / reps) for e in exceedance)
     return McReport(
         delta_grid=grid, exceedance=exceedance, stderr=stderr, reps=reps, seed=int(seed)
@@ -194,5 +202,5 @@ def simulate_power(
     counts: Counter[str] = Counter()
     for chunk in _sample_pvalues(dist, spec, methods, reps, seed):
         for name, pvals in chunk.items():
-            counts[name] += int(np.count_nonzero(pvals <= delta))
+            counts[name] += int((pvals <= delta).sum())
     return {name: count / reps for name, count in counts.items()}

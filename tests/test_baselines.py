@@ -129,6 +129,18 @@ class TestHoeffdingTight:
     def test_smooth_not_stepped(self):
         assert hoeffding_tight_pvalue(0.041, SPEC) != hoeffding_tight_pvalue(0.049, SPEC)
 
+    @pytest.mark.parametrize(
+        "n, alpha", [(1, 0.5), (10, ULPS_BELOW[1]), (100, 0.1), (5000, 0.05), (10**6, 0.9)]
+    )
+    def test_bitwise_equal_to_the_clipped_formula(self, n, alpha):
+        # returning 1.0 for rhat >= alpha skips a KL that is exactly 0.0 there
+        spec = TestSpec(n, alpha)
+        rhats = [alpha, math.nextafter(alpha, -math.inf), math.nextafter(alpha, math.inf)]
+        rhats += [min(1.0, alpha + i * (1.0 - alpha) / 50) for i in range(51)]
+        for rhat in rhats:
+            expected = math.exp(-n * kl_bernoulli(min(rhat, alpha), alpha))
+            assert hoeffding_tight_pvalue(rhat, spec) == expected, rhat
+
 
 class TestCompare:
     def test_frozen_triple_mid(self):

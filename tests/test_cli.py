@@ -594,6 +594,12 @@ class TestValidate:
                   "--alpha", "0.1", "--reps", "0"])
         assert exc.value.code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "validate", "--dist", "bernoulli:0.2", "--n", "10",
+                             "--alpha", "0.1", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_bad_dist_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "--dist", "bernoulli:2", "--n", "10",
                            "--alpha", "0.1")
@@ -727,29 +733,70 @@ class TestDigits:
         assert json.loads(out)["pvalues"]["prw"] == raw
 
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args):
+    """Run a fresh interpreter that imports prwtest from this checkout."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "prwtest", "compare"],
-        capture_output=True, text=True, env=env, check=False,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_python("-W", "error::RuntimeWarning", "-m", "prwtest", "compare")
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout == GOLDEN.read_text(encoding="utf-8")
 
 
 def test_importing_the_library_leaves_the_cli_unloaded():
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, prwtest; print('prwtest.cli' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    result = run_python("-c", "import sys, prwtest; print('prwtest.cli' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+# Runs every command that draws no random number, recording after each
+# whether numpy is loaded, then one validate run, which must load it.
+NUMPY_ON_DEMAND_SCRIPT = """
+import contextlib, io, sys
+import prwtest
+loaded = ["numpy" in sys.modules]
+import prwtest.cli
+loaded.append("numpy" in sys.modules)
+losses, pvalues = sys.argv[1:]
+for argv in (
+    ["pvalue", "--rhat", "0.05", "--n", "100", "--alpha", "0.1"],
+    ["pvalue", "--losses", losses, "--alpha", "0.1"],
+    ["compare"],
+    ["plotdata", "--n", "50"],
+    ["fwer", pvalues, "--procedure", "bonferroni", "--delta", "0.1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert prwtest.cli.main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+code = prwtest.cli.main(["validate", "--dist", "bernoulli:0.11", "--n", "100",
+                         "--alpha", "0.1", "--reps", "3000", "--seed", "7"])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def test_only_monte_carlo_loads_numpy(tmp_path):
+    losses = write_losses(tmp_path, ["0", "1", "0", "0.25"])
+    pvalues = write_pvalues(tmp_path, [0.01, 0.5])
+    result = run_python("-c", NUMPY_ON_DEMAND_SCRIPT, losses, pvalues)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        str([False] * 7),
+        # the pinned exceedances of this seeded run
+        "delta,exceedance,stderr,pass",
+        "0.01,0.0013333333333333333,0.0006662220739752263,true",
+        "0.05,0.011666666666666667,0.0019604893569000878,true",
+        "0.1,0.011666666666666667,0.0019604893569000878,true",
+        "0.2,0.033,0.0032614413991362778,true",
+        "0 True",
+    ]
 
 
 # Runs the CLI, then prints its exit code and the process's own peak RSS
@@ -769,14 +816,8 @@ print(code, peak_kb, file=sys.stderr)
 def test_validate_peak_memory_does_not_grow_with_reps():
     # One (reps, n) float64 block would be 160 MB here; row chunks hold
     # 2 MiB of losses at a time, whatever reps is.
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_SCRIPT, "validate", "--dist", "bernoulli:0.11",
-         "--n", "1000", "--alpha", "0.1", "--reps", "20000", "--seed", "1"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    result = run_python("-c", PEAK_RSS_SCRIPT, "validate", "--dist", "bernoulli:0.11",
+                        "--n", "1000", "--alpha", "0.1", "--reps", "20000", "--seed", "1")
     code, peak_kb = map(int, result.stderr.split()[-2:])
     assert code == 0, result.stderr
     assert peak_kb < 100 * 1024

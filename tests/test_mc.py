@@ -223,6 +223,23 @@ def test_simulations_reject_non_positive_integer_reps(reps):
         simulate_power(LossDistribution.bernoulli(0.01), spec, ["prw"], 0.05, reps, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
+def test_simulations_reject_a_seed_that_is_not_a_non_negative_integer(seed):
+    spec = TestSpec(n=10, alpha=0.1)
+    message = "seed must be a non-negative integer, got "
+    with pytest.raises(ValueError, match=message):
+        simulate_superuniformity(LossDistribution.bernoulli(0.5), spec, "prw", (0.05,), 1, seed)
+    with pytest.raises(ValueError, match=message):
+        simulate_power(LossDistribution.bernoulli(0.01), spec, ["prw"], 0.05, 1, seed)
+
+
+def test_numpy_integer_seed_draws_the_same_stream():
+    spec = TestSpec(n=10, alpha=0.1)
+    dist = LossDistribution.bernoulli(0.3)
+    args = (dist, spec, "prw", (0.05, 0.5), 200)
+    assert simulate_superuniformity(*args, np.int64(4)) == simulate_superuniformity(*args, 4)
+
+
 STREAM_LAWS = {
     "bernoulli": LossDistribution.bernoulli(0.3),
     "beta-shapes-ge-1": LossDistribution.beta(1.1, 9),
