@@ -7,7 +7,7 @@ risk), ``compare`` (rounded p-value table over an empirical-risk grid),
 (seeded Monte Carlo check of super-uniformity, usable as a CI gate).
 
 Exit codes: 0 success / validation pass, 1 validation fail (``validate``
-only), 2 usage or data error.
+only), 2 usage or data error, 141 stdout closed by its reader (``| head``).
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import operator
 import os
 import sys
 from decimal import Decimal, ROUND_HALF_UP, localcontext
-from typing import BinaryIO, Optional, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Optional, Sequence, TextIO
 
 from .baselines import compare
-from .fwer import FwerOutcome, FwerPlan, bonferroni, fallback, fixed_sequence
+from .fwer import FwerPlan, bonferroni, fallback, fixed_sequence
 from .mc import PVALUE_METHODS, LossDistribution, simulate_superuniformity
 from .prw import TestSpec
 from .prw import prw_pvalue  # noqa: F401  perfbench's tracer test reads cli.prw_pvalue
@@ -288,12 +288,41 @@ def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each computes its table once and hands it to _emit
 # ---------------------------------------------------------------------------
 
+_CURVE_COLUMNS = ("rhat", "prw", "hoeffding_tight", "bentkus")
+
+
+def _repr_or_flag(value: object) -> str:
+    return str(value).lower() if isinstance(value, bool) else repr(value)
+
+
+def _emit(
+    args: argparse.Namespace,
+    columns: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    cell: Callable[[object], str],
+    payload: Callable[[], dict],
+) -> None:
+    """Write a command's output: one JSON document, or a CSV table.
+
+    ``payload()`` is called only for ``--format json``; a rounded Decimal in
+    it is written as the float it rounds to.  CSV rows are written one at a
+    time, each value through ``cell``.
+    """
+    if args.format == "json":
+        print(json.dumps(payload(), default=float))
+        return
+    out = sys.stdout
+    out.write(",".join(columns) + "\n")
+    out.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 def cmd_pvalue(args: argparse.Namespace) -> int:
-    if args.losses is not None and args.rhat is not None:
-        raise DataError("pass either --losses or --rhat, not both")
+    for flag in ("rhat", "n"):
+        if args.losses is not None and getattr(args, flag) is not None:
+            raise DataError(f"pass either --losses or --{flag}, not both")
     if args.losses is not None:
         losses = read_loss_csv(args.losses)
         n = len(losses)
@@ -316,23 +345,12 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
         values[method.replace("-", "_")] = PVALUE_METHODS[method](rhat, spec, **kwargs)
 
     digits = _resolve_digits(args.digits)
-    if args.format == "json":
-        payload = {
-            "command": "pvalue",
-            "n": spec.n,
-            "alpha": spec.alpha,
-            "rhat": rhat,
-            "digits": digits,
-            "unclamped": bool(args.unclamped),
-            "pvalues": {k: float(round_half_away(v, digits)) for k, v in values.items()},
-        }
-        print(json.dumps(payload))
-    else:
-        columns = ["rhat"] + list(values)
-        print(",".join(columns))
-        row = [str(round_half_away(rhat, digits))]
-        row += [str(round_half_away(values[c], digits)) for c in list(values)]
-        print(",".join(row))
+    row = [round_half_away(v, digits) for v in (rhat, *values.values())]
+    _emit(args, ("rhat", *values), [row], str, lambda: {
+        "command": "pvalue", "n": spec.n, "alpha": spec.alpha, "rhat": rhat,
+        "digits": digits, "unclamped": bool(args.unclamped),
+        "pvalues": dict(zip(values, row[1:])),
+    })
     return 0
 
 
@@ -341,32 +359,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     grid = DEFAULT_COMPARE_GRID if args.grid is None else parse_grid(args.grid)
     digits = _resolve_digits(args.digits)
     reports = [compare(r, spec) for r in grid]
-    if args.format == "json":
-        payload = {
-            "command": "compare",
-            "n": spec.n,
-            "alpha": spec.alpha,
-            "digits": digits,
-            "rows": [
-                {
-                    "rhat": float(round_half_away(rep.rhat, digits)),
-                    "prw": float(round_half_away(rep.prw, digits)),
-                    "hoeffding_tight": float(round_half_away(rep.hoeffding_tight, digits)),
-                    "bentkus": float(round_half_away(rep.bentkus, digits)),
-                }
-                for rep in reports
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print("rhat,prw,hoeffding_tight,bentkus")
-        for rep in reports:
-            print(
-                ",".join(
-                    str(round_half_away(v, digits))
-                    for v in (rep.rhat, rep.prw, rep.hoeffding_tight, rep.bentkus)
-                )
-            )
+    rows = [
+        [round_half_away(v, digits) for v in (rep.rhat, rep.prw, rep.hoeffding_tight, rep.bentkus)]
+        for rep in reports
+    ]
+    _emit(args, _CURVE_COLUMNS, rows, str, lambda: {
+        "command": "compare", "n": spec.n, "alpha": spec.alpha, "digits": digits,
+        "rows": [dict(zip(_CURVE_COLUMNS, row)) for row in rows],
+    })
     return 0
 
 
@@ -379,29 +379,12 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
     rows = []
     for rhat in grid:
         rep = compare(rhat, spec)
-        rows.append((rhat, rep.prw, rep.hoeffding_tight, rep.bentkus, rhat > spec.t_max))
-    if args.format == "json":
-        payload = {
-            "command": "plotdata",
-            "n": spec.n,
-            "alpha": spec.alpha,
-            "cap": spec.t_max,
-            "rows": [
-                {
-                    "rhat": r,
-                    "prw": p,
-                    "hoeffding_tight": h,
-                    "bentkus": b,
-                    "capped": c,
-                }
-                for r, p, h, b, c in rows
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        print("rhat,prw,hoeffding_tight,bentkus,capped")
-        for r, p, h, b, c in rows:
-            print(f"{r!r},{p!r},{h!r},{b!r},{int(c)}")
+        rows.append((rhat, rep.prw, rep.hoeffding_tight, rep.bentkus, int(rhat > spec.t_max)))
+    # capped is 0/1 in CSV and true/false in JSON
+    _emit(args, (*_CURVE_COLUMNS, "capped"), rows, repr, lambda: {
+        "command": "plotdata", "n": spec.n, "alpha": spec.alpha, "cap": spec.t_max,
+        "rows": [{**dict(zip(_CURVE_COLUMNS, row)), "capped": row[4] == 1} for row in rows],
+    })
     return 0
 
 
@@ -414,29 +397,17 @@ _PROCEDURES = {
 
 def cmd_fwer(args: argparse.Namespace) -> int:
     pvalues = read_pvalue_csv(args.pvalues)
-    weights = None
-    if args.weights is not None:
-        weights = _parse_float_list(args.weights, "--weights")
+    weights = None if args.weights is None else _parse_float_list(args.weights, "--weights")
     if args.procedure == "fallback" and weights is None:
         raise DataError("fallback requires --weights")
     plan = FwerPlan(pvalues=pvalues, delta=args.delta, weights=weights)
-    outcome: FwerOutcome = _PROCEDURES[args.procedure](plan)
-    if args.format == "json":
-        payload = {
-            "command": "fwer",
-            "procedure": args.procedure,
-            "delta": plan.delta,
-            "pvalues": list(plan.pvalues),
-            "rejected": list(outcome.rejected),
-            "local_levels": list(outcome.local_levels),
-        }
-        print(json.dumps(payload))
-    else:
-        print("index,pvalue,local_level,rejected")
-        for i, (p, level, rej) in enumerate(
-            zip(plan.pvalues, outcome.local_levels, outcome.rejected)
-        ):
-            print(f"{i},{p!r},{level!r},{'true' if rej else 'false'}")
+    outcome = _PROCEDURES[args.procedure](plan)
+    rows = zip(range(len(plan.pvalues)), plan.pvalues, outcome.local_levels, outcome.rejected)
+    _emit(args, ("index", "pvalue", "local_level", "rejected"), rows, _repr_or_flag, lambda: {
+        "command": "fwer", "procedure": args.procedure, "delta": plan.delta,
+        "pvalues": plan.pvalues, "rejected": outcome.rejected,
+        "local_levels": outcome.local_levels,
+    })
     return 0
 
 
@@ -447,32 +418,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = simulate_superuniformity(
         dist, spec, args.method, deltas, reps=args.reps, seed=args.seed
     )
-    results = []
-    all_ok = True
-    for d, e, se in zip(report.delta_grid, report.exceedance, report.stderr):
-        ok = e <= d + 3.0 * se
-        all_ok = all_ok and ok
-        results.append((d, e, se, ok))
-    if args.format == "json":
-        payload = {
-            "command": "validate",
-            "dist": args.dist,
-            "n": spec.n,
-            "alpha": spec.alpha,
-            "method": args.method,
-            "reps": report.reps,
-            "seed": report.seed,
-            "results": [
-                {"delta": d, "exceedance": e, "stderr": se, "pass": ok}
-                for d, e, se, ok in results
-            ],
-            "pass": all_ok,
-        }
-        print(json.dumps(payload))
-    else:
-        print("delta,exceedance,stderr,pass")
-        for d, e, se, ok in results:
-            print(f"{d!r},{e!r},{se!r},{'true' if ok else 'false'}")
+    columns = ("delta", "exceedance", "stderr", "pass")
+    rows = [
+        (d, e, se, e <= d + 3.0 * se)
+        for d, e, se in zip(report.delta_grid, report.exceedance, report.stderr)
+    ]
+    all_ok = all(row[3] for row in rows)
+    _emit(args, columns, rows, _repr_or_flag, lambda: {
+        "command": "validate", "dist": args.dist, "n": spec.n, "alpha": spec.alpha,
+        "method": args.method, "reps": report.reps, "seed": report.seed,
+        "results": [dict(zip(columns, row)) for row in rows], "pass": all_ok,
+    })
     return 0 if all_ok else 1
 
 
@@ -497,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
     p = sub.add_parser("pvalue", help="p-value(s) for one sample or empirical risk")
     p.add_argument("--rhat", type=float, help="observed empirical risk in [0, 1]")
     p.add_argument("--n", type=_positive_int, help="sample size (with --rhat)")
@@ -509,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--unclamped", action="store_true",
                    help="report raw bound values, which may exceed 1")
-    add_common_output(p)
     p.set_defaults(func=cmd_pvalue)
 
     p = sub.add_parser("compare", help="table of all three p-values over a risk grid")
@@ -517,14 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--grid", help="start:step:stop (inclusive); default: built-in 45-point grid")
     p.add_argument("--digits", type=int, default=None)
-    add_common_output(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("plotdata", help="dense unrounded p-value curves for plotting")
     p.add_argument("--n", type=_positive_int, default=100)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--grid", help="start:step:stop (inclusive); default: 1000 points over [0, 1]")
-    add_common_output(p)
     p.set_defaults(func=cmd_plotdata)
 
     p = sub.add_parser("fwer", help="run an FWER procedure over a p-value file")
@@ -532,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procedure", choices=tuple(_PROCEDURES), required=True)
     p.add_argument("--delta", type=float, required=True, help="global FWER level in (0, 1)")
     p.add_argument("--weights", help="comma-separated fallback weights summing to 1")
-    add_common_output(p)
     p.set_defaults(func=cmd_fwer)
 
     p = sub.add_parser("validate", help="Monte Carlo super-uniformity check (CI gate)")
@@ -545,9 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", default="0.01,0.05,0.1,0.2",
                    help="comma-separated levels to check")
-    add_common_output(p)
     p.set_defaults(func=cmd_validate)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -569,7 +519,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  devnull on the
+        # descriptor keeps the flush at exit from failing a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
+    sys.exit(code)
 
 
 if __name__ == "__main__":

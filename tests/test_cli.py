@@ -461,6 +461,12 @@ class TestPvalue:
                            "--alpha", "0.1")
         assert code == 2
 
+    def test_losses_with_n_exits_2(self, capsys, tmp_path):
+        # n is the row count of the file; a second n is not silently dropped
+        path = write_losses(tmp_path, ["0.5"])
+        code, out, err = run(capsys, "pvalue", "--losses", path, "--n", "999", "--alpha", "0.3")
+        assert (code, out, err) == (2, "", "error: pass either --losses or --n, not both\n")
+
 
 class TestPlotdata:
     def test_curves_monotone_and_capped_flagged(self, capsys):
@@ -733,13 +739,17 @@ class TestDigits:
         assert json.loads(out)["pvalues"]["prw"] == raw
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports prwtest from this checkout."""
+def checkout_env():
+    """The environment of a fresh interpreter that imports prwtest from this checkout."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*args):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+        [sys.executable, *args], capture_output=True, text=True, env=checkout_env(), check=False
     )
 
 
@@ -748,6 +758,23 @@ def test_python_dash_m_runs_the_cli():
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     assert result.stdout == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [["plotdata", "--grid", "0:0.0001:1"],
+                                     ["fwer", "{pvalues}", "--procedure", "bonferroni",
+                                      "--delta", "0.05"]])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, command):
+    # Either output is hundreds of kB, more than the pipe holds, so the
+    # command is still writing when the reader goes away, as under `| head -1`
+    pvalues = write_pvalues(tmp_path, [0.001] * 20000)
+    argv = [a.replace("{pvalues}", pvalues) for a in command]
+    with subprocess.Popen([sys.executable, "-m", "prwtest", *argv], env=checkout_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()  # the header
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (141, b"")
 
 
 def test_importing_the_library_leaves_the_cli_unloaded():
