@@ -7,63 +7,16 @@ FWER-controlling multiple-testing procedures and a seeded Monte Carlo
 validation harness.
 """
 
-from .binomial import BinomialParams, cdf, sf
-from .prw import (
-    GBoundContext,
-    TestSpec,
-    ceil_scaled,
-    g,
-    g_inverse,
-    gamma_r,
-    lower_tail_bound,
-    prw_pvalue,
-    upper_tail_bound,
-)
-from .baselines import (
-    PValueReport,
-    bentkus_pvalue,
-    compare,
-    hoeffding_tight_pvalue,
-    kl_bernoulli,
-)
-from .fwer import FwerOutcome, FwerPlan, bonferroni, fallback, fixed_sequence
-from .mc import (
-    LossDistribution,
-    McReport,
-    PVALUE_METHODS,
-    simulate_power,
-    simulate_superuniformity,
-)
+from . import baselines, binomial, fwer, mc, prw
+from .binomial import *  # noqa: F403
+from .prw import *  # noqa: F403
+from .baselines import *  # noqa: F403
+from .fwer import *  # noqa: F403
+from .mc import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialParams",
-    "cdf",
-    "sf",
-    "TestSpec",
-    "GBoundContext",
-    "gamma_r",
-    "ceil_scaled",
-    "upper_tail_bound",
-    "lower_tail_bound",
-    "g",
-    "g_inverse",
-    "prw_pvalue",
-    "PValueReport",
-    "bentkus_pvalue",
-    "kl_bernoulli",
-    "hoeffding_tight_pvalue",
-    "compare",
-    "FwerPlan",
-    "FwerOutcome",
-    "fixed_sequence",
-    "fallback",
-    "bonferroni",
-    "LossDistribution",
-    "McReport",
-    "PVALUE_METHODS",
-    "simulate_superuniformity",
-    "simulate_power",
+    *binomial.__all__, *prw.__all__, *baselines.__all__, *fwer.__all__, *mc.__all__,
     "__version__",
 ]

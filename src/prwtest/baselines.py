@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .binomial import BinomialParams, cdf
-from .prw import TestSpec, ceil_scaled, prw_pvalue
+from .prw import TestSpec, _check_closed_unit, _snapped_ceil, prw_pvalue
 
 __all__ = ["PValueReport", "bentkus_pvalue", "kl_bernoulli", "hoeffding_tight_pvalue", "compare"]
 
@@ -42,10 +42,7 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     the raw ``e * cdf`` value for diagnostics.  Each step's raw value is
     computed once per spec and then looked up.
     """
-    rhat = float(rhat)
-    if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
-        raise ValueError(f"rhat must lie in [0, 1], got {rhat!r}")
-    k = ceil_scaled(spec.n, rhat)
+    k = _snapped_ceil(spec.n, _check_closed_unit(rhat, "rhat"))
     steps = spec._bentkus_steps
     value = steps.get(k)
     if value is None:
@@ -62,10 +59,8 @@ def kl_bernoulli(a: float, b: float) -> float:
     approaches 0 or 1.  The two terms can cancel to a tiny negative sum
     when a is a few ulps from b; KL is never negative, so that reads 0.
     """
-    a = float(a)
+    a = _check_closed_unit(a, "a")
     b = float(b)
-    if math.isnan(a) or not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must lie in [0, 1], got {a!r}")
     if math.isnan(b) or not 0.0 < b < 1.0:
         raise ValueError(f"b must lie in (0, 1), got {b!r}")
     left = a * math.log(a / b) if a > 0.0 else 0.0
@@ -79,9 +74,7 @@ def hoeffding_tight_pvalue(rhat: float, spec: TestSpec) -> float:
     Evaluated at the raw empirical risk, not a grid ceiling, so the curve
     varies smoothly in rhat and equals 1 for every rhat >= alpha.
     """
-    rhat = float(rhat)
-    if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
-        raise ValueError(f"rhat must lie in [0, 1], got {rhat!r}")
+    rhat = _check_closed_unit(rhat, "rhat")
     if rhat >= spec.alpha:
         return 1.0
     return math.exp(-spec.n * kl_bernoulli(rhat, spec.alpha))

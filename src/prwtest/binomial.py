@@ -169,9 +169,10 @@ def _pow_bound(x: int, k: int, up: bool) -> tuple[int, int]:
     """(mantissa, exponent) of a bound on x**k: above it if ``up``, else below.
 
     Square-and-multiply that cuts each product to _ANCHOR_BITS bits,
-    rounding every cut the same way.  A cut moves the bound by less than
-    2**(1 - _ANCHOR_BITS) relative, and each later squaring doubles that,
-    so the two bounds end at most 8 * k * 2**-_ANCHOR_BITS apart.
+    rounding every cut the same way, so no mantissa exceeds _ANCHOR_BITS
+    bits.  A cut moves the bound by less than 2**(1 - _ANCHOR_BITS)
+    relative, and each later squaring doubles that, so the two bounds end
+    at most 8 * k * 2**-_ANCHOR_BITS apart.
     """
     mant, exp = 1, 0
     for bit in f"{k:b}":
@@ -183,6 +184,9 @@ def _pow_bound(x: int, k: int, up: bool) -> tuple[int, int]:
         if cut > 0:
             mant = -(-mant >> cut) if up else mant >> cut
             exp += cut
+            if mant.bit_length() > _ANCHOR_BITS:  # an upward cut carried to 2**_ANCHOR_BITS
+                mant >>= 1
+                exp += 1
     return mant, exp
 
 

@@ -7,7 +7,8 @@ risk), ``compare`` (rounded p-value table over an empirical-risk grid),
 (seeded Monte Carlo check of super-uniformity, usable as a CI gate).
 
 Exit codes: 0 success / validation pass, 1 validation fail (``validate``
-only), 2 usage or data error, 141 stdout closed by its reader (``| head``).
+only), 2 usage or data error or a failed write to stdout, 141 stdout closed
+by its reader (``| head``).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import sys
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 from typing import BinaryIO, Callable, Iterable, Optional, Sequence, TextIO
 
-from .baselines import compare
+from .baselines import compare  # noqa: F401  perfbench's tracer test reads cli.compare
 from .fwer import FwerPlan, bonferroni, fallback, fixed_sequence
 from .mc import PVALUE_METHODS, LossDistribution, simulate_superuniformity
-from .prw import TestSpec
+from .prw import TestSpec, _check_closed_unit
 from .prw import prw_pvalue  # noqa: F401  perfbench's tracer test reads cli.prw_pvalue
 
 __all__ = ["read_loss_csv", "main", "entrypoint", "DEFAULT_COMPARE_GRID"]
@@ -291,7 +292,11 @@ def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
 # Subcommands: each computes its table once and hands it to _emit
 # ---------------------------------------------------------------------------
 
-_CURVE_COLUMNS = ("rhat", "prw", "hoeffding_tight", "bentkus")
+_CURVE_COLUMNS = ("rhat", *(method.replace("-", "_") for method in PVALUE_METHODS))
+
+
+def _curve_row(rhat: float, spec: TestSpec) -> tuple[float, ...]:
+    return (rhat, *(pvalue(rhat, spec) for pvalue in PVALUE_METHODS.values()))
 
 
 def _repr_or_flag(value: object) -> str:
@@ -333,8 +338,7 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
         n = args.n
         rhat = args.rhat
     spec = TestSpec(n=n, alpha=args.alpha)
-    if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
-        raise DataError(f"--rhat must lie in [0, 1], got {rhat!r}")
+    _check_closed_unit(rhat, "--rhat")
 
     methods = PVALUE_METHODS if args.method == "all" else (args.method,)
     values: dict[str, float] = {}
@@ -358,11 +362,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = TestSpec(n=args.n, alpha=args.alpha)
     grid = DEFAULT_COMPARE_GRID if args.grid is None else parse_grid(args.grid)
     digits = _resolve_digits(args.digits)
-    reports = [compare(r, spec) for r in grid]
-    rows = [
-        [round_half_away(v, digits) for v in (rep.rhat, rep.prw, rep.hoeffding_tight, rep.bentkus)]
-        for rep in reports
-    ]
+    rows = [[round_half_away(v, digits) for v in _curve_row(r, spec)] for r in grid]
     _emit(args, _CURVE_COLUMNS, rows, str, lambda: {
         "command": "compare", "n": spec.n, "alpha": spec.alpha, "digits": digits,
         "rows": [dict(zip(_CURVE_COLUMNS, row)) for row in rows],
@@ -376,14 +376,11 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         grid = tuple(i / (DEFAULT_PLOT_POINTS - 1) for i in range(DEFAULT_PLOT_POINTS))
     else:
         grid = parse_grid(args.grid)
-    rows = []
-    for rhat in grid:
-        rep = compare(rhat, spec)
-        rows.append((rhat, rep.prw, rep.hoeffding_tight, rep.bentkus, int(rhat > spec.t_max)))
+    rows = [(*_curve_row(rhat, spec), int(rhat > spec.t_max)) for rhat in grid]
     # capped is 0/1 in CSV and true/false in JSON
     _emit(args, (*_CURVE_COLUMNS, "capped"), rows, repr, lambda: {
         "command": "plotdata", "n": spec.n, "alpha": spec.alpha, "cap": spec.t_max,
-        "rows": [{**dict(zip(_CURVE_COLUMNS, row)), "capped": row[4] == 1} for row in rows],
+        "rows": [{**dict(zip(_CURVE_COLUMNS, row)), "capped": row[-1] == 1} for row in rows],
     })
     return 0
 
@@ -522,11 +519,15 @@ def entrypoint() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early, as `| head` does.  devnull on the
-        # descriptor keeps the flush at exit from failing a second time.
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader closed stdout early, as `| head` does
+            code = 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
+        else:  # such as stdout on a full disk
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        # devnull on the descriptor keeps the flush at exit from failing a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
     sys.exit(code)
 
 

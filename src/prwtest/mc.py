@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .baselines import bentkus_pvalue, hoeffding_tight_pvalue
-from .prw import TestSpec, _check_open_unit, _check_positive_int, prw_pvalue
+from .prw import TestSpec, _check_closed_unit, _check_open_unit, _check_positive_int, prw_pvalue
 
 __all__ = [
     "LossDistribution",
@@ -66,9 +66,7 @@ class LossDistribution:
 
     @classmethod
     def bernoulli(cls, p: float) -> "LossDistribution":
-        p = float(p)
-        if math.isnan(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"bernoulli parameter must lie in [0, 1], got {p!r}")
+        p = _check_closed_unit(p, "bernoulli parameter")
         return cls(kind="bernoulli", params=(p,), mean=p)
 
     @classmethod

@@ -51,6 +51,22 @@ def _check_open_unit(value, name: str) -> float:
     return v
 
 
+def _check_closed_unit(value, name: str) -> float:
+    v = float(value)
+    if math.isnan(v) or not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+    return v
+
+
+def _snapped_ceil(n: int, t: float) -> int:
+    """ceil(n*t), where an n*t within SNAP_RTOL (relative) of an integer is that integer."""
+    nt = n * t
+    nearest = round(nt)
+    if abs(nt - nearest) <= SNAP_RTOL * max(1.0, nt):
+        return int(nearest)
+    return math.ceil(nt)
+
+
 @dataclass(frozen=True)
 class TestSpec:
     """Context of the one-sided test ``H0: mean > alpha`` and of its step bound.
@@ -70,15 +86,15 @@ class TestSpec:
     def __post_init__(self) -> None:
         n = _check_positive_int(self.n, "n")
         alpha = _check_open_unit(self.alpha, "alpha")
-        gamma = gamma_r(n, alpha)
+        gamma = max(1, _snapped_ceil(n, alpha))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "t_max", (gamma - 1) / n)
-        # Raw p-value steps of prw_pvalue and bentkus_pvalue, filled on
-        # first use and keyed by the snapped ceiling k (see prw_pvalue for
-        # its boundary key).  Not fields, so equality, hash and repr ignore
-        # them; concurrent misses at worst store the same value twice.
+        # Raw step values of g and of bentkus_pvalue, filled on first use
+        # and keyed by the snapped ceiling k.  Not fields, so equality, hash
+        # and repr ignore them; concurrent misses at worst store the same
+        # value twice.
         object.__setattr__(self, "_prw_steps", {})
         object.__setattr__(self, "_bentkus_steps", {})
 
@@ -100,7 +116,7 @@ def gamma_r(n: int, mean: float) -> int:
     """
     n = _check_positive_int(n, "n")
     mean = _check_open_unit(mean, "mean")
-    return max(1, ceil_scaled(n, mean))
+    return max(1, _snapped_ceil(n, mean))
 
 
 def ceil_scaled(n: int, t: float) -> int:
@@ -110,14 +126,7 @@ def ceil_scaled(n: int, t: float) -> int:
     that integer; otherwise the true ceiling is returned.
     """
     n = _check_positive_int(n, "n")
-    t = float(t)
-    if math.isnan(t) or not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    nt = n * t
-    nearest = round(nt)
-    if abs(nt - nearest) <= SNAP_RTOL * max(1.0, nt):
-        return int(nearest)
-    return math.ceil(nt)
+    return _snapped_ceil(n, _check_closed_unit(t, "t"))
 
 
 def upper_tail_bound(n: int, p: float, t: int) -> float:
@@ -165,18 +174,25 @@ def g(t: float, ctx: TestSpec) -> float:
     Left of the boundary the value is ``lower_tail_bound`` at the snapped
     ceiling of n*t; at the boundary t = t_max itself the value is clamped
     below by 1, which is what makes the capped p-value valid.  g(0) equals
-    (1 - alpha)**n exactly whenever gamma >= 2.
+    (1 - alpha)**n exactly whenever gamma >= 2.  The package's only path
+    from t to a PRW step, for ``prw_pvalue`` and ``g_inverse`` too: each
+    step is computed once per spec and then looked up.
     """
     t = float(t)
     if math.isnan(t) or t < 0.0:
         raise ValueError(f"t must lie in [0, {ctx.t_max}], got {t!r}")
     nt = ctx.n * t
-    boundary = ctx.gamma - 1
-    if abs(nt - boundary) <= SNAP_RTOL * max(1.0, nt):
-        return max(1.0, lower_tail_bound(ctx.n, ctx.alpha, boundary))
-    if t > ctx.t_max:
-        raise ValueError(f"t must lie in [0, {ctx.t_max}], got {t!r}")
-    return lower_tail_bound(ctx.n, ctx.alpha, ceil_scaled(ctx.n, t))
+    k = ctx.gamma - 1
+    on_boundary = abs(nt - k) <= SNAP_RTOL * max(1.0, nt)
+    if not on_boundary:
+        if t > ctx.t_max:
+            raise ValueError(f"t must lie in [0, {ctx.t_max}], got {t!r}")
+        k = _snapped_ceil(ctx.n, t)
+    steps = ctx._prw_steps
+    value = steps.get(k)
+    if value is None:
+        value = steps[k] = lower_tail_bound(ctx.n, ctx.alpha, k)
+    return max(1.0, value) if on_boundary else value
 
 
 def g_inverse(delta: float, ctx: TestSpec) -> float:
@@ -185,9 +201,10 @@ def g_inverse(delta: float, ctx: TestSpec) -> float:
     The bound is a left-continuous step function jumping only at the grid
     points {0, 1/n, ..., (gamma-1)/n}, and its values there are
     non-decreasing, so a bisection over j in [0, gamma-2] is exact and needs
-    O(log gamma) bound evaluations; no root finding is involved.  The
-    boundary point (gamma-1)/n never qualifies because its value is clamped
-    to at least 1.  Satisfies ``g(g_inverse(delta)) <= delta``.
+    O(log gamma) evaluations of ``g``, lookups once the spec's steps are
+    known; no root finding is involved.  The boundary point (gamma-1)/n
+    never qualifies because its value is clamped to at least 1.  Satisfies
+    ``g(g_inverse(delta)) <= delta``.
 
     Raises
     ------
@@ -203,9 +220,7 @@ def g_inverse(delta: float, ctx: TestSpec) -> float:
             "the bound's domain holds only its boundary point, whose value is "
             "at least 1; no delta < 1 is attainable"
         )
-    count = bisect_right(
-        range(ctx.gamma - 1), delta, key=lambda j: lower_tail_bound(ctx.n, ctx.alpha, j)
-    )
+    count = bisect_right(range(ctx.gamma - 1), delta, key=lambda j: g(j / ctx.n, ctx))
     if count == 0:
         raise ValueError(
             f"delta={delta} is below the smallest attainable bound value "
@@ -217,24 +232,9 @@ def g_inverse(delta: float, ctx: TestSpec) -> float:
 def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     """PRW p-value for ``H0: mean > alpha`` given the observed empirical risk.
 
-    Evaluates the step bound at min(rhat, spec.t_max) and reports
-    min(1, value).  ``clamp=False`` returns the raw bound value, which
-    exceeds 1 in the capped region; useful for diagnostics only.  Each
-    step's raw value is computed by ``g`` once per spec and then looked up.
+    ``min(1, g(min(rhat, spec.t_max)))``.  ``clamp=False`` returns the raw
+    bound value, which exceeds 1 in the capped region; useful for
+    diagnostics only.
     """
-    rhat = float(rhat)
-    if math.isnan(rhat) or not 0.0 <= rhat <= 1.0:
-        raise ValueError(f"rhat must lie in [0, 1], got {rhat!r}")
-    t = min(rhat, spec.t_max)
-    # g's own split: the snapped boundary, which g clamps below by 1, gets
-    # the key -1, and every other t the snapped ceiling of n*t
-    nt = spec.n * t
-    if abs(nt - (spec.gamma - 1)) <= SNAP_RTOL * max(1.0, nt):
-        key = -1
-    else:
-        key = ceil_scaled(spec.n, t)
-    steps = spec._prw_steps
-    value = steps.get(key)
-    if value is None:
-        value = steps[key] = g(t, spec)
+    value = g(min(_check_closed_unit(rhat, "rhat"), spec.t_max), spec)
     return min(1.0, value) if clamp else value

@@ -15,7 +15,7 @@ from prwtest.baselines import (
     kl_bernoulli,
 )
 from prwtest.binomial import BinomialParams, cdf
-from prwtest.prw import SNAP_RTOL, TestSpec, ceil_scaled, g, prw_pvalue
+from prwtest.prw import SNAP_RTOL, TestSpec, ceil_scaled, lower_tail_bound, prw_pvalue
 
 REL = 1e-12
 SPEC = TestSpec(n=100, alpha=0.1)
@@ -214,8 +214,13 @@ def test_all_methods_in_unit_interval(rhat):
 
 
 def prw_reference(rhat: float, spec: TestSpec) -> float:
-    """Unmemoised raw PRW value: the step bound at the capped risk."""
-    return g(min(rhat, spec.t_max), spec)
+    """Unmemoised raw PRW value: the tail bound at the snapped ceiling of the
+    capped risk, clamped below by 1 where n*t snaps to gamma - 1."""
+    t = min(rhat, spec.t_max)
+    boundary = spec.gamma - 1
+    if abs(spec.n * t - boundary) <= SNAP_RTOL * max(1.0, spec.n * t):
+        return max(1.0, lower_tail_bound(spec.n, spec.alpha, boundary))
+    return lower_tail_bound(spec.n, spec.alpha, ceil_scaled(spec.n, t))
 
 
 def bentkus_reference(rhat: float, spec: TestSpec) -> float:

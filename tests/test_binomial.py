@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prwtest import binomial
@@ -295,6 +295,7 @@ class TestAnchor:
 
     @given(st.tuples(st.integers(1, 2**60), st.integers(0, 3000))
            | st.tuples(st.integers(1, 2**1100), st.integers(0, 300)))
+    @example((2**129 - 1, 1))  # the upward cut carries to 2**128
     def test_power_bounds_enclose(self, case):
         x, k = case
         exact = x**k

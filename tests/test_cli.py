@@ -777,10 +777,36 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path, command):
     assert (code, err) == (141, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_to_stdout_exits_2_with_one_error_line():
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "prwtest", "compare"], stdout=full,
+                                stderr=subprocess.PIPE, text=True, env=checkout_env(),
+                                timeout=120, check=False)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
 def test_importing_the_library_leaves_the_cli_unloaded():
     result = run_python("-c", "import sys, prwtest; print('prwtest.cli' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_package_exports_keep_their_names_and_order():
+    import prwtest
+
+    assert prwtest.__all__ == [
+        "BinomialParams", "cdf", "sf",
+        "TestSpec", "GBoundContext", "gamma_r", "ceil_scaled", "upper_tail_bound",
+        "lower_tail_bound", "g", "g_inverse", "prw_pvalue",
+        "PValueReport", "bentkus_pvalue", "kl_bernoulli", "hoeffding_tight_pvalue", "compare",
+        "FwerPlan", "FwerOutcome", "fixed_sequence", "fallback", "bonferroni",
+        "LossDistribution", "McReport", "PVALUE_METHODS", "simulate_superuniformity",
+        "simulate_power",
+        "__version__",
+    ]
+    assert all(hasattr(prwtest, name) for name in prwtest.__all__)
 
 
 # Runs every command that draws no random number, recording after each

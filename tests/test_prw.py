@@ -342,6 +342,28 @@ def test_g_inverse_bisection_equals_scan():
     assert underflowing >= 20  # the draws reach contexts whose first steps are 0.0
 
 
+def g_inverse_or_error(delta, spec):
+    try:
+        return g_inverse(delta, spec)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    n=st.integers(1, 300),
+    alpha=st.floats(0.001, 0.999, allow_nan=False),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_g_inverse_on_filled_steps_equals_a_fresh_spec(n, alpha, delta):
+    # g's per-spec memo holds every step once prw_pvalue has visited the
+    # whole grid, so the warm bisection reads only stored values
+    warm = TestSpec(n, alpha)
+    for j in range(n + 1):
+        prw_pvalue(j / n, warm)
+    assert len(warm._prw_steps) == warm.gamma
+    assert g_inverse_or_error(delta, warm) == g_inverse_or_error(delta, TestSpec(n, alpha))
+
+
 class TestPrwPvalue:
     SPEC = TestSpec(n=100, alpha=0.1)
 
