@@ -8,26 +8,20 @@ comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .binomial import BinomialParams, cdf
+from .binomial import BinomialParams, Record, cdf
 from .prw import TestSpec, _check_closed_unit, _snapped_ceil, prw_pvalue
 
 __all__ = ["PValueReport", "bentkus_pvalue", "kl_bernoulli", "hoeffding_tight_pvalue", "compare"]
 
 
-@dataclass(frozen=True)
-class PValueReport:
+class PValueReport(Record):
     """All three p-values for one observed empirical risk."""
 
-    rhat: float
-    alpha: float
-    n: int
-    prw: float
-    bentkus: float
-    hoeffding_tight: float
+    __slots__ = _fields = ("rhat", "alpha", "n", "prw", "bentkus", "hoeffding_tight")
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         for name in ("prw", "bentkus", "hoeffding_tight"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -83,10 +77,6 @@ def hoeffding_tight_pvalue(rhat: float, spec: TestSpec) -> float:
 def compare(rhat: float, spec: TestSpec) -> PValueReport:
     """Compute all three p-values at one empirical risk, sharing the ceiling."""
     return PValueReport(
-        rhat=float(rhat),
-        alpha=spec.alpha,
-        n=spec.n,
-        prw=prw_pvalue(rhat, spec),
-        bentkus=bentkus_pvalue(rhat, spec),
-        hoeffding_tight=hoeffding_tight_pvalue(rhat, spec),
+        float(rhat), spec.alpha, spec.n,
+        prw_pvalue(rhat, spec), bentkus_pvalue(rhat, spec), hoeffding_tight_pvalue(rhat, spec),
     )

@@ -19,7 +19,6 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = ["BinomialParams", "cdf", "sf"]
@@ -50,27 +49,73 @@ _STIRLING = tuple(
 )
 
 
-@dataclass(frozen=True)
-class BinomialParams:
+def _check_positive_int(value, name: str) -> int:
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+    if v < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return v
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    ``__init__`` sets the ``_fields`` by position or keyword.  Equality, hash,
+    the ``Name(field=value, ...)`` repr and copies read them in that order;
+    setting or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs:  # append the keyword fields in order; a missing one shortens args
+            args += tuple(kwargs.pop(name) for name in self._fields[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class BinomialParams(Record):
     """Trial count ``n`` and success probability ``p`` of a binomial law."""
 
-    n: int
-    p: float
+    __slots__ = _fields = ("n", "p")
 
-    def __post_init__(self) -> None:
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}") from None
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if n > sys.maxsize:  # math.comb's limit, met by the exact fallback anchor
-            raise ValueError(f"n must be at most {sys.maxsize}, got {self.n!r}")
-        p = float(self.p)
-        if math.isnan(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
+    def __init__(self, n: int, p: float) -> None:
+        count = _check_positive_int(n, "n")
+        if count > sys.maxsize:  # math.comb's limit, met by the exact fallback anchor
+            raise ValueError(f"n must be at most {sys.maxsize}, got {n!r}")
+        prob = float(p)
+        if math.isnan(prob) or not 0.0 <= prob <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p!r}")
+        # set here, not through Record.__init__: a law is built for every tail query
+        object.__setattr__(self, "n", count)
+        object.__setattr__(self, "p", prob)
 
 
 def cdf(params: BinomialParams, k: int) -> float:

@@ -9,58 +9,47 @@ super-uniform convention P(p <= delta) <= delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
+
+from .binomial import Record
+from .prw import _check_open_unit, _check_weights
 
 __all__ = ["FwerPlan", "FwerOutcome", "fixed_sequence", "fallback", "bonferroni"]
 
-_WEIGHT_SUM_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class FwerPlan:
+class FwerPlan(Record):
     """Ordered family of hypotheses: p-values, global level, optional weights.
 
     Weights are only consumed by the fallback procedure; they must be
     non-negative and sum to 1.
     """
 
-    pvalues: tuple[float, ...]
-    delta: float
-    weights: Optional[tuple[float, ...]] = None
+    __slots__ = _fields = ("pvalues", "delta", "weights")
 
-    def __post_init__(self) -> None:
-        pvalues = tuple(float(p) for p in self.pvalues)
+    def __init__(
+        self, pvalues: tuple[float, ...], delta: float, weights: Optional[tuple[float, ...]] = None
+    ) -> None:
+        pvalues = tuple(float(p) for p in pvalues)
         if not pvalues:
             raise ValueError("plan must contain at least one hypothesis")
         for i, p in enumerate(pvalues):
             if math.isnan(p) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"p-value at position {i} must lie in [0, 1], got {p!r}")
-        delta = float(self.delta)
-        if math.isnan(delta) or not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        object.__setattr__(self, "pvalues", pvalues)
-        object.__setattr__(self, "delta", delta)
-        if self.weights is not None:
-            weights = tuple(float(w) for w in self.weights)
+        delta = _check_open_unit(delta, "delta")
+        if weights is not None:
+            weights = tuple(float(w) for w in weights)
             if len(weights) != len(pvalues):
                 raise ValueError(
                     f"weights length {len(weights)} != number of hypotheses {len(pvalues)}"
                 )
-            if any(w < 0.0 or math.isnan(w) for w in weights):
-                raise ValueError("weights must be non-negative")
-            total = math.fsum(weights)
-            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-                raise ValueError(f"weights must sum to 1, got {total!r}")
-            object.__setattr__(self, "weights", weights)
+            _check_weights(weights, "weights")
+        super().__init__(pvalues, delta, weights)
 
 
-@dataclass(frozen=True)
-class FwerOutcome:
+class FwerOutcome(Record):
     """Per-hypothesis rejection flags and the local level each was tested at."""
 
-    rejected: tuple[bool, ...]
-    local_levels: tuple[float, ...]
+    __slots__ = _fields = ("rejected", "local_levels")
 
 
 def fixed_sequence(plan: FwerPlan) -> FwerOutcome:
@@ -71,20 +60,13 @@ def fixed_sequence(plan: FwerPlan) -> FwerOutcome:
     Weights, if present, are ignored.
     """
     rejected: list[bool] = []
-    levels: list[float] = []
-    testing = True
     for p in plan.pvalues:
-        if testing:
-            levels.append(plan.delta)
-            if p <= plan.delta:
-                rejected.append(True)
-            else:
-                rejected.append(False)
-                testing = False
-        else:
-            levels.append(0.0)
-            rejected.append(False)
-    return FwerOutcome(rejected=tuple(rejected), local_levels=tuple(levels))
+        rejected.append(p <= plan.delta)
+        if not rejected[-1]:
+            break
+    untested = len(plan.pvalues) - len(rejected)
+    levels = (plan.delta,) * len(rejected) + (0.0,) * untested
+    return FwerOutcome(rejected=tuple(rejected) + (False,) * untested, local_levels=levels)
 
 
 def fallback(plan: FwerPlan) -> FwerOutcome:
@@ -103,12 +85,8 @@ def fallback(plan: FwerPlan) -> FwerOutcome:
     for p, w in zip(plan.pvalues, plan.weights):
         level = plan.delta * w + carry
         levels.append(level)
-        if p <= level:
-            rejected.append(True)
-            carry = level
-        else:
-            rejected.append(False)
-            carry = 0.0
+        rejected.append(p <= level)
+        carry = level if rejected[-1] else 0.0
     return FwerOutcome(rejected=tuple(rejected), local_levels=tuple(levels))
 
 

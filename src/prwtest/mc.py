@@ -18,14 +18,14 @@ import math
 import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
 from .baselines import bentkus_pvalue, hoeffding_tight_pvalue
-from .prw import TestSpec, _check_closed_unit, _check_open_unit, _check_positive_int, prw_pvalue
+from .binomial import Record, _check_positive_int
+from .prw import TestSpec, _check_closed_unit, _check_open_unit, _check_weights, prw_pvalue
 
 __all__ = [
     "LossDistribution",
@@ -43,7 +43,6 @@ PVALUE_METHODS = {
     "bentkus": bentkus_pvalue,
 }
 
-_MEAN_TOL = 1e-12
 # Losses drawn per chunk (2 MiB of float64); a chunk holds at least one row.
 _CHUNK_VALUES = 1 << 18
 
@@ -56,13 +55,10 @@ def canonical_method(method: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class LossDistribution:
+class LossDistribution(Record):
     """A loss-generating law supported on [0, 1] with known analytic mean."""
 
-    kind: str
-    params: tuple
-    mean: float
+    __slots__ = _fields = ("kind", "params", "mean")
 
     @classmethod
     def bernoulli(cls, p: float) -> "LossDistribution":
@@ -88,11 +84,7 @@ class LossDistribution:
             raise ValueError("support and probs must be non-empty and equal length")
         if any(math.isnan(x) or not 0.0 <= x <= 1.0 for x in support):
             raise ValueError(f"support must lie within [0, 1], got {support}")
-        if any(q < 0.0 or math.isnan(q) for q in probs):
-            raise ValueError("probabilities must be non-negative")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > _MEAN_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+        _check_weights(probs, "probabilities")
         mean = math.fsum(x * q for x, q in zip(support, probs))
         return cls(kind="scaled-discrete", params=(support, probs), mean=mean)
 
@@ -108,15 +100,10 @@ class LossDistribution:
         return rng.choice(support, p=probs, size=size)
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(Record):
     """Empirical exceedance frequencies P(p <= delta) over a delta grid."""
 
-    delta_grid: tuple[float, ...]
-    exceedance: tuple[float, ...]
-    stderr: tuple[float, ...]
-    reps: int
-    seed: int
+    __slots__ = _fields = ("delta_grid", "exceedance", "stderr", "reps", "seed")
 
 
 def _sample_pvalues(

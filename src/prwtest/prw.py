@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
-from .binomial import BinomialParams, cdf, sf
+from .binomial import BinomialParams, Record, _check_positive_int, cdf, sf
 
 __all__ = [
     "TestSpec",
@@ -34,16 +33,6 @@ __all__ = [
 SNAP_RTOL = 1e-9
 
 
-def _check_positive_int(value, name: str) -> int:
-    try:
-        v = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
-    if v < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return v
-
-
 def _check_open_unit(value, name: str) -> float:
     v = float(value)
     if math.isnan(v) or not 0.0 < v < 1.0:
@@ -58,6 +47,17 @@ def _check_closed_unit(value, name: str) -> float:
     return v
 
 
+def _check_weights(values, name: str) -> None:
+    if any(v < 0.0 or math.isnan(v) for v in values):
+        raise ValueError(f"{name} must be non-negative")
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # finite values whose sum exceeds the largest double
+        total = math.inf
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"{name} must sum to 1, got {total!r}")
+
+
 def _snapped_ceil(n: int, t: float) -> int:
     """ceil(n*t), where an n*t within SNAP_RTOL (relative) of an integer is that integer."""
     nt = n * t
@@ -67,8 +67,7 @@ def _snapped_ceil(n: int, t: float) -> int:
     return math.ceil(nt)
 
 
-@dataclass(frozen=True)
-class TestSpec:
+class TestSpec(Record):
     """Context of the one-sided test ``H0: mean > alpha`` and of its step bound.
 
     The p-value is the bound at mean = alpha, so the test's (n, alpha) is
@@ -78,25 +77,21 @@ class TestSpec:
     the bound is only defined left of the binomial mean.
     """
 
-    n: int
-    alpha: float
-    gamma: int = field(init=False)
-    t_max: float = field(init=False)
+    _fields = ("n", "alpha", "gamma", "t_max")
+    # Raw steps of g and bentkus_pvalue by snapped ceiling k, filled on first use.  Not
+    # fields, so equality, hash and repr ignore them; racing misses store a value twice.
+    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps")
 
-    def __post_init__(self) -> None:
-        n = _check_positive_int(self.n, "n")
-        alpha = _check_open_unit(self.alpha, "alpha")
+    def __init__(self, n: int, alpha: float) -> None:
+        n = _check_positive_int(n, "n")
+        alpha = _check_open_unit(alpha, "alpha")
         gamma = max(1, _snapped_ceil(n, alpha))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "t_max", (gamma - 1) / n)
-        # Raw step values of g and of bentkus_pvalue, filled on first use
-        # and keyed by the snapped ceiling k.  Not fields, so equality, hash
-        # and repr ignore them; concurrent misses at worst store the same
-        # value twice.
+        super().__init__(n, alpha, gamma, (gamma - 1) / n)
         object.__setattr__(self, "_prw_steps", {})
         object.__setattr__(self, "_bentkus_steps", {})
+
+    def __reduce__(self):  # gamma and t_max are derived; a copy starts with an empty memo
+        return type(self), (self.n, self.alpha)
 
     @classmethod
     def from_mean(cls, n: int, mean: float) -> "TestSpec":

@@ -536,6 +536,12 @@ class TestFwer:
         assert code == 2
         assert "weights" in err
 
+    def test_weights_summing_past_the_largest_double_exit_2(self, capsys, tmp_path):
+        path = write_pvalues(tmp_path, [0.01, 0.2])
+        code, out, err = run(capsys, "fwer", path, "--procedure", "fallback",
+                             "--delta", "0.1", "--weights", "1e308,1e308")
+        assert (code, out, err) == (2, "", "error: weights must sum to 1, got inf\n")
+
     def test_pvalue_file_errors(self, capsys, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("pvalue\n0.5\n1.5\n", encoding="utf-8")
@@ -619,6 +625,14 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: invalid distribution spec {dist!r}: ")
         assert err.count("\n") == 1
+
+    def test_probabilities_summing_past_the_largest_double_exit_2(self, capsys):
+        dist = "discrete:0,1:1e308,1e308"
+        code, out, err = run(capsys, "validate", "--dist", dist, "--n", "10",
+                             "--alpha", "0.1", "--reps", "10")
+        assert (code, out) == (2, "")
+        assert err == (f"error: invalid distribution spec {dist!r}: "
+                       "probabilities must sum to 1, got inf\n")
 
     def test_refused_allocation_exits_2(self, capsys):
         # 10**15 float64 losses (7.1 PiB) exceed any 48-bit address space, so
@@ -791,6 +805,21 @@ def test_importing_the_library_leaves_the_cli_unloaded():
     result = run_python("-c", "import sys, prwtest; print('prwtest.cli' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_cold_start_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: 8-15 ms of every
+    # process's import, against a p-value that takes about a millisecond
+    result = run_python("-c", """
+import contextlib, io, sys
+import prwtest
+import prwtest.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = prwtest.cli.main(["pvalue", "--rhat", "0.05", "--n", "100", "--alpha", "0.1"])
+print(code, sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules)))
+""")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0 []\n"
 
 
 def test_package_exports_keep_their_names_and_order():

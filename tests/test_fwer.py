@@ -1,5 +1,6 @@
 """Tests for the FWER procedures."""
 
+import math
 import random
 
 import pytest
@@ -41,6 +42,13 @@ class TestPlanValidation:
     def test_weights_sum(self):
         with pytest.raises(ValueError):
             plan([0.5, 0.5], weights=(0.5, 0.4))
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308), (math.inf, 0.0)])
+    def test_weights_summing_past_the_largest_double(self, weights):
+        # fsum raises OverflowError on finite weights whose sum overflows;
+        # they read as inf, as an inf weight does
+        with pytest.raises(ValueError, match=r"^weights must sum to 1, got inf$"):
+            plan([0.5, 0.5], weights=weights)
 
     def test_weights_sum_tolerance(self):
         plan([0.5, 0.5, 0.5], weights=(1 / 3, 1 / 3, 1 / 3))

@@ -56,6 +56,12 @@ class TestLossDistribution:
         with pytest.raises(ValueError):
             LossDistribution.scaled_discrete((0.0, 1.0), (0.5, 0.4))
 
+    @pytest.mark.parametrize("probs", [(1e308, 1e308), (math.inf, 0.0)])
+    def test_discrete_probs_summing_past_the_largest_double(self, probs):
+        # as for FwerPlan weights: an overflowing sum reads as inf
+        with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got inf$"):
+            LossDistribution.scaled_discrete((0.0, 1.0), probs)
+
     def test_samples_stay_in_unit_interval(self):
         rng = np.random.default_rng(0)
         for d in (
