@@ -36,12 +36,12 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     the raw ``e * cdf`` value for diagnostics.  Each step's raw value is
     computed once per spec and then looked up.
     """
-    k = _snapped_ceil(spec.n, _check_closed_unit(rhat, "rhat"))
+    k = _snapped_ceil(spec.n, _check_closed_unit(rhat, "rhat"))[0]
     steps = spec._bentkus_steps
     value = steps.get(k)
     if value is None:
         value = steps[k] = math.e * cdf(BinomialParams(spec.n, spec.alpha), k)
-    return min(1.0, value) if clamp else value
+    return 1.0 if clamp and value > 1.0 else value
 
 
 def kl_bernoulli(a: float, b: float) -> float:
@@ -57,6 +57,10 @@ def kl_bernoulli(a: float, b: float) -> float:
     b = float(b)
     if math.isnan(b) or not 0.0 < b < 1.0:
         raise ValueError(f"b must lie in (0, 1), got {b!r}")
+    return _kl_bernoulli(a, b)
+
+
+def _kl_bernoulli(a: float, b: float) -> float:  # kl_bernoulli without its checks
     left = a * math.log(a / b) if a > 0.0 else 0.0
     right = (1.0 - a) * (math.log1p(-a) - math.log1p(-b)) if a < 1.0 else 0.0
     return max(0.0, left + right)
@@ -71,7 +75,7 @@ def hoeffding_tight_pvalue(rhat: float, spec: TestSpec) -> float:
     rhat = _check_closed_unit(rhat, "rhat")
     if rhat >= spec.alpha:
         return 1.0
-    return math.exp(-spec.n * kl_bernoulli(rhat, spec.alpha))
+    return math.exp(-spec.n * _kl_bernoulli(rhat, spec.alpha))
 
 
 def compare(rhat: float, spec: TestSpec) -> PValueReport:

@@ -6,10 +6,10 @@ are bitwise identical to a single block draw of shape ``(reps, n)``.  Each
 chunk is reduced to exceedance counts before the next is drawn, so memory is
 O(max(n, 2**18)) values, independent of ``reps``.  Bernoulli losses are
 uniform-threshold draws, beta losses use ``Generator.beta``, and discrete
-losses use ``Generator.choice``; changing any of these would silently
-invalidate pinned fixtures, so they are part of the contract.  numpy is
-imported by the first draw, not by this module, so commands that never draw
-start without it.
+losses are ``Generator.choice``'s bits, drawn by comparison with its CDF at
+a cost linear in the support size; changing any of these would invalidate
+pinned fixtures, so they are part of the contract.  numpy is imported by the
+first draw, not by this module, so commands that never draw start without it.
 """
 
 from __future__ import annotations
@@ -96,8 +96,15 @@ class LossDistribution(Record):
         if self.kind == "beta":
             a, b = self.params
             return rng.beta(a, b, size)
+        # Generator.choice's bits and stream use: an index counts the CDF entries <= its uniform
+        import numpy as np
         support, probs = self.params
-        return rng.choice(support, p=probs, size=size)
+        cdf = np.cumsum(probs)
+        u = rng.random(size)
+        index = np.zeros(u.shape, np.intp)
+        for c in cdf[:-1] / cdf[-1]:
+            index += u >= c
+        return np.asarray(np.array(support).take(index))  # take gives a scalar at size ()
 
 
 class McReport(Record):

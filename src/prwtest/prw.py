@@ -27,10 +27,11 @@ __all__ = [
     "prw_pvalue",
 ]
 
-# Relative slack under which n*t is treated as the integer it visibly is.
-# Empirical risks j/n that went through float arithmetic can land a few ulps
-# off the grid; a raw ceiling would then jump a whole step.
+# Slack under which n*t is treated as the integer it visibly is (risks j/n that
+# went through float arithmetic land a few ulps off the grid): relative, and
+# capped so that a large n*t keeps a real fraction above an integer.
 SNAP_RTOL = 1e-9
+SNAP_ATOL = 1e-6
 
 
 def _check_open_unit(value, name: str) -> float:
@@ -58,13 +59,14 @@ def _check_weights(values, name: str) -> None:
         raise ValueError(f"{name} must sum to 1, got {total!r}")
 
 
-def _snapped_ceil(n: int, t: float) -> int:
-    """ceil(n*t), where an n*t within SNAP_RTOL (relative) of an integer is that integer."""
+def _snapped_ceil(n: int, t: float) -> tuple[int, bool]:
+    """(ceil(n*t), False), or (the integer i, True) when |n*t - i| is within the snap slack."""
     nt = n * t
     nearest = round(nt)
-    if abs(nt - nearest) <= SNAP_RTOL * max(1.0, nt):
-        return int(nearest)
-    return math.ceil(nt)
+    d = abs(nt - nearest)
+    if d <= SNAP_ATOL and (d <= SNAP_RTOL or d <= SNAP_RTOL * nt):
+        return nearest, True
+    return math.ceil(nt), False
 
 
 class TestSpec(Record):
@@ -85,7 +87,7 @@ class TestSpec(Record):
     def __init__(self, n: int, alpha: float) -> None:
         n = _check_positive_int(n, "n")
         alpha = _check_open_unit(alpha, "alpha")
-        gamma = max(1, _snapped_ceil(n, alpha))
+        gamma = max(1, _snapped_ceil(n, alpha)[0])
         super().__init__(n, alpha, gamma, (gamma - 1) / n)
         object.__setattr__(self, "_prw_steps", {})
         object.__setattr__(self, "_bentkus_steps", {})
@@ -111,17 +113,17 @@ def gamma_r(n: int, mean: float) -> int:
     """
     n = _check_positive_int(n, "n")
     mean = _check_open_unit(mean, "mean")
-    return max(1, _snapped_ceil(n, mean))
+    return max(1, _snapped_ceil(n, mean)[0])
 
 
 def ceil_scaled(n: int, t: float) -> int:
     """Ceiling of n*t with an integer-snap rule.
 
-    If n*t sits within SNAP_RTOL (relative) of an integer it is treated as
-    that integer; otherwise the true ceiling is returned.
+    If n*t sits within min(SNAP_RTOL * max(1, n*t), SNAP_ATOL) of an integer
+    it is treated as that integer; otherwise the true ceiling is returned.
     """
     n = _check_positive_int(n, "n")
-    return _snapped_ceil(n, _check_closed_unit(t, "t"))
+    return _snapped_ceil(n, _check_closed_unit(t, "t"))[0]
 
 
 def upper_tail_bound(n: int, p: float, t: int) -> float:
@@ -167,27 +169,24 @@ def g(t: float, ctx: TestSpec) -> float:
     """Step-function bound on P(empirical risk <= t) for t in [0, t_max].
 
     Left of the boundary the value is ``lower_tail_bound`` at the snapped
-    ceiling of n*t; at the boundary t = t_max itself the value is clamped
-    below by 1, which is what makes the capped p-value valid.  g(0) equals
-    (1 - alpha)**n exactly whenever gamma >= 2.  The package's only path
-    from t to a PRW step, for ``prw_pvalue`` and ``g_inverse`` too: each
-    step is computed once per spec and then looked up.
+    ceiling of n*t.  At the boundary, where n*t snaps to gamma - 1 (or, past
+    n = 4.5e9, rounds above it), the value is clamped below by 1, which makes
+    the capped p-value valid.  g(0) equals (1 - alpha)**n exactly whenever
+    gamma >= 2.  The package's only path from t to a PRW step, for
+    ``prw_pvalue`` and ``g_inverse`` too: each step is computed once per spec.
     """
     t = float(t)
-    if math.isnan(t) or t < 0.0:
+    k, snapped = _snapped_ceil(ctx.n, t) if 0.0 <= t <= 1.0 else (-1, False)
+    last = ctx.gamma - 1
+    if not (0.0 <= t <= ctx.t_max or snapped and k == last):
         raise ValueError(f"t must lie in [0, {ctx.t_max}], got {t!r}")
-    nt = ctx.n * t
-    k = ctx.gamma - 1
-    on_boundary = abs(nt - k) <= SNAP_RTOL * max(1.0, nt)
-    if not on_boundary:
-        if t > ctx.t_max:
-            raise ValueError(f"t must lie in [0, {ctx.t_max}], got {t!r}")
-        k = _snapped_ceil(ctx.n, t)
+    on_boundary = k > last or snapped and k == last
+    k = last if on_boundary else k
     steps = ctx._prw_steps
     value = steps.get(k)
     if value is None:
         value = steps[k] = lower_tail_bound(ctx.n, ctx.alpha, k)
-    return max(1.0, value) if on_boundary else value
+    return 1.0 if on_boundary and value < 1.0 else value
 
 
 def g_inverse(delta: float, ctx: TestSpec) -> float:
@@ -232,4 +231,4 @@ def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     diagnostics only.
     """
     value = g(min(_check_closed_unit(rhat, "rhat"), spec.t_max), spec)
-    return min(1.0, value) if clamp else value
+    return 1.0 if clamp and value > 1.0 else value

@@ -15,7 +15,8 @@ from prwtest.baselines import (
     kl_bernoulli,
 )
 from prwtest.binomial import BinomialParams, cdf
-from prwtest.prw import SNAP_RTOL, TestSpec, ceil_scaled, lower_tail_bound, prw_pvalue
+from prwtest import prw
+from prwtest.prw import TestSpec, ceil_scaled, lower_tail_bound, prw_pvalue
 
 REL = 1e-12
 SPEC = TestSpec(n=100, alpha=0.1)
@@ -213,19 +214,31 @@ def test_all_methods_in_unit_interval(rhat):
         assert 0.0 <= v <= 1.0
 
 
+def snap_slack(nt: float) -> float:
+    return min(prw.SNAP_RTOL * max(1.0, nt), prw.SNAP_ATOL)
+
+
+def reference_ceil(n: int, t: float) -> int:
+    """ceil(n*t), snapped to the nearest integer within snap_slack."""
+    nt = n * t
+    return round(nt) if abs(nt - round(nt)) <= snap_slack(nt) else math.ceil(nt)
+
+
 def prw_reference(rhat: float, spec: TestSpec) -> float:
     """Unmemoised raw PRW value: the tail bound at the snapped ceiling of the
-    capped risk, clamped below by 1 where n*t snaps to gamma - 1."""
+    capped risk, clamped below by 1 where n*t snaps to gamma - 1 or its
+    ceiling lies past gamma - 1."""
     t = min(rhat, spec.t_max)
     boundary = spec.gamma - 1
-    if abs(spec.n * t - boundary) <= SNAP_RTOL * max(1.0, spec.n * t):
+    nt = spec.n * t
+    if abs(nt - boundary) <= snap_slack(nt) or reference_ceil(spec.n, t) > boundary:
         return max(1.0, lower_tail_bound(spec.n, spec.alpha, boundary))
-    return lower_tail_bound(spec.n, spec.alpha, ceil_scaled(spec.n, t))
+    return lower_tail_bound(spec.n, spec.alpha, reference_ceil(spec.n, t))
 
 
 def bentkus_reference(rhat: float, spec: TestSpec) -> float:
     """Unmemoised raw Bentkus value at the snapped ceiling."""
-    return math.e * cdf(BinomialParams(spec.n, spec.alpha), ceil_scaled(spec.n, rhat))
+    return math.e * cdf(BinomialParams(spec.n, spec.alpha), reference_ceil(spec.n, rhat))
 
 
 def edge_points(spec: TestSpec) -> list[float]:
@@ -238,7 +251,7 @@ def edge_points(spec: TestSpec) -> list[float]:
             x = math.nextafter(x, direction)
             points.append(x)
     boundary = spec.gamma - 1
-    tol = SNAP_RTOL * max(1.0, boundary)
+    tol = snap_slack(boundary)
     for f in (0.5, 0.999, 1.001, 2.0):
         points += [(boundary - f * tol) / spec.n, (boundary + f * tol) / spec.n]
     return [x for x in points if 0.0 <= x <= 1.0]
@@ -276,6 +289,36 @@ class TestStepMemo:
     def test_memo_matches_reference_on_drawn_specs(self, n, alpha, rhats):
         spec = TestSpec(n=n, alpha=alpha)
         assert_memo_matches_reference(spec, rhats + edge_points(spec))
+
+    @pytest.mark.parametrize("n, alpha", [
+        (10_000, 0.25), (10_000, 0.1234567), (10**6, 0.1), (10**6, 0.0123456789),
+    ])
+    def test_large_n_steps_equal_unmemoised_reference(self, n, alpha):
+        # n*t_max > 1000, so the snap slack is SNAP_ATOL, not SNAP_RTOL * n*t
+        spec = TestSpec(n=n, alpha=alpha)
+        boundary = spec.gamma - 1
+        assert prw.SNAP_RTOL * boundary > prw.SNAP_ATOL
+        points = [1.0, spec.t_max + 1 / n, 0.0, 1 / n, 0.37 / n]
+        for j in (boundary - 2, boundary - 1, boundary):
+            x = y = j / n
+            for _ in range(3):
+                x, y = math.nextafter(x, 0.0), math.nextafter(y, 1.0)
+                points += [x, y]
+            for f in (0.5, 0.999, 1.001, 2.0):
+                points += [(j - f * prw.SNAP_ATOL) / n, (j + f * prw.SNAP_ATOL) / n]
+        assert_memo_matches_reference(spec, points + edge_points(spec))
+
+    def test_a_ceiling_past_the_boundary_reads_the_boundary(self, monkeypatch):
+        # n*t_max = 100 * 0.07 = 7.000000000000001 at gamma = 8.  With no
+        # absolute slack it does not snap and ceils past gamma - 1, as n*t_max
+        # itself can past n = 4.5e9; the boundary value is read
+        monkeypatch.setattr(prw, "SNAP_ATOL", 0.0)
+        spec = TestSpec(n=100, alpha=0.075)
+        assert (spec.gamma, spec.t_max, ceil_scaled(100, spec.t_max)) == (8, 0.07, 8)
+        want = max(1.0, lower_tail_bound(100, 0.075, 7))
+        assert prw_pvalue(spec.t_max, spec, clamp=False) == want
+        assert prw_pvalue(0.5, spec, clamp=False) == want
+        assert_memo_matches_reference(spec, [0.069, 0.07, 0.0700000001, 1.0])
 
     @pytest.mark.parametrize("order", [(0.3, 0.5), (0.5, 0.3)])
     def test_only_the_snapped_boundary_is_clamped_below_by_one(self, order):

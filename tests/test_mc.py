@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prwtest import mc
 from prwtest.baselines import bentkus_pvalue, hoeffding_tight_pvalue
@@ -73,6 +75,31 @@ class TestLossDistribution:
             assert x.shape == (1000,)
             assert np.all((x >= 0) & (x <= 1))
 
+    @given(
+        points=st.lists(
+            st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.0, 0.3)) | st.floats(0, 1),
+                      st.sampled_from((0.0, 1.0)) | st.floats(0, 1, allow_subnormal=False)),
+            min_size=1, max_size=40,
+        ),
+        size=st.just(()) | st.integers(0, 50) | st.tuples(st.integers(0, 6), st.integers(0, 9)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_discrete_draws_are_generator_choice(self, points, size, seed):
+        """Same bits, dtype, shape and stream use as Generator.choice on the
+        installed numpy, over supports with repeated values and zero probabilities."""
+        support = [x for x, _ in points]
+        weights = [w for _, w in points]
+        total = math.fsum(weights)
+        if total == 0.0:
+            weights[0] = total = 1.0
+        dist = LossDistribution.scaled_discrete(support, [w / total for w in weights])
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = dist.sample(got_rng, size)
+        want = want_rng.choice(dist.params[0], p=dist.params[1], size=size)
+        assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_sample_mean_near_analytic(self):
         rng = np.random.default_rng(123)
         d = LossDistribution.beta(4, 16)
@@ -137,6 +164,15 @@ class TestSuperuniformity:
         assert isinstance(rep, McReport)
         assert len(rep.delta_grid) == len(rep.exceedance) == len(rep.stderr) == 2
         assert rep.reps == 50 and rep.seed == 9
+
+    def test_mc_benchmark_discrete_configuration(self):
+        # the benchmark's pinned discrete validate run; its reference values
+        # come from the sampler itself, so only a pin catches a changed draw
+        rep = simulate_superuniformity(
+            LossDistribution.scaled_discrete((0, 0.5, 1), (0.84, 0.11, 0.05)),
+            TestSpec(1000, 0.1), "bentkus", (0.01, 0.05, 0.1, 0.2), 10_000, seed=2644238536,
+        )
+        assert rep.exceedance == (0.0, 0.0007, 0.0026, 0.0064)
 
 
 class TestPower:

@@ -110,6 +110,22 @@ class TestCeilScaled:
     def test_above_snap_width_is_ceiled(self):
         assert ceil_scaled(100, 0.0500000001) == 6
 
+    @pytest.mark.parametrize("n, t, expected", [
+        # n*t = 600000000.4, 30000000.02 and 300000.0002: fractions that a
+        # purely relative slack of 1e-9 * n*t would have snapped down
+        (2_000_000_000, 600000000.4 / 2e9, 600000001),
+        (10**8, 600000000.4 / 2e9, 30000001),
+        (10**6, 300000.0002 / 1e6, 300001),
+    ])
+    def test_snap_slack_is_capped_at_large_n(self, n, t, expected):
+        assert ceil_scaled(n, t) == expected
+
+    @pytest.mark.parametrize("n", [10**6, 10**8, 2 * 10**9, 2**40])
+    def test_grid_points_snap_at_large_n(self, n):
+        rng = random.Random(n)
+        for j in [0, 1, n - 1, n] + [rng.randrange(n + 1) for _ in range(2000)]:
+            assert ceil_scaled(n, j / n) == j, j
+
     @pytest.mark.parametrize("t", [-0.1, 1.0001, float("nan")])
     def test_domain(self, t):
         with pytest.raises(ValueError):
@@ -220,7 +236,7 @@ class TestG:
         for k in range(9):
             assert g(k / 100, self.CTX) == pytest.approx(STEPS_N100_A01[k], rel=REL)
 
-    @pytest.mark.parametrize("t", [-0.001, 0.0901, 0.5])
+    @pytest.mark.parametrize("t", [-0.001, 0.0901, 0.5, math.inf, math.nan])
     def test_domain(self, t):
         with pytest.raises(ValueError):
             g(t, self.CTX)
