@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .binomial import BinomialParams, Record, cdf
-from .prw import TestSpec, _check_closed_unit, _snapped_ceil, prw_pvalue
+from .binomial import BinomialParams, Record, _check_closed_unit, _check_open_unit, cdf
+from .prw import TestSpec, _snapped_ceil, prw_pvalue
 
 __all__ = ["PValueReport", "bentkus_pvalue", "kl_bernoulli", "hoeffding_tight_pvalue", "compare"]
 
@@ -22,10 +22,8 @@ class PValueReport(Record):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        for name in ("prw", "bentkus", "hoeffding_tight"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} p-value must lie in [0, 1], got {v!r}")
+        for name in self._fields[3:]:
+            _check_closed_unit(getattr(self, name), f"{name} p-value")
 
 
 def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
@@ -54,10 +52,7 @@ def kl_bernoulli(a: float, b: float) -> float:
     when a is a few ulps from b; KL is never negative, so that reads 0.
     """
     a = _check_closed_unit(a, "a")
-    b = float(b)
-    if math.isnan(b) or not 0.0 < b < 1.0:
-        raise ValueError(f"b must lie in (0, 1), got {b!r}")
-    return _kl_bernoulli(a, b)
+    return _kl_bernoulli(a, _check_open_unit(b, "b"))
 
 
 def _kl_bernoulli(a: float, b: float) -> float:  # kl_bernoulli without its checks
@@ -79,7 +74,7 @@ def hoeffding_tight_pvalue(rhat: float, spec: TestSpec) -> float:
 
 
 def compare(rhat: float, spec: TestSpec) -> PValueReport:
-    """Compute all three p-values at one empirical risk, sharing the ceiling."""
+    """All three p-values at one empirical risk; PRW and Bentkus each snap rhat themselves."""
     return PValueReport(
         float(rhat), spec.alpha, spec.n,
         prw_pvalue(rhat, spec), bentkus_pvalue(rhat, spec), hoeffding_tight_pvalue(rhat, spec),

@@ -59,6 +59,31 @@ def _check_positive_int(value, name: str) -> int:
     return v
 
 
+def _check_open_unit(value, name: str) -> float:
+    v = float(value)
+    if math.isnan(v) or not 0.0 < v < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    return v
+
+
+def _check_closed_unit(value, name: str) -> float:
+    v = float(value)
+    if math.isnan(v) or not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+    return v
+
+
+def _check_weights(values, name: str) -> None:
+    if any(v < 0.0 or math.isnan(v) for v in values):
+        raise ValueError(f"{name} must be non-negative")
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # finite values whose sum exceeds the largest double
+        total = math.inf
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"{name} must sum to 1, got {total!r}")
+
+
 class Record:
     """Base of the package's immutable value classes.
 

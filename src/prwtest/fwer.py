@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .binomial import Record
-from .prw import _check_open_unit, _check_weights
+from .binomial import Record, _check_open_unit, _check_weights
 
 __all__ = ["FwerPlan", "FwerOutcome", "fixed_sequence", "fallback", "bonferroni"]
 

@@ -24,8 +24,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 from .baselines import bentkus_pvalue, hoeffding_tight_pvalue
-from .binomial import Record, _check_positive_int
-from .prw import TestSpec, _check_closed_unit, _check_open_unit, _check_weights, prw_pvalue
+from .binomial import (
+    Record, _check_closed_unit, _check_open_unit, _check_positive_int, _check_weights,
+)
+from .prw import TestSpec, prw_pvalue
 
 __all__ = [
     "LossDistribution",
@@ -189,6 +191,8 @@ def simulate_power(
             f"alternative must hold: dist mean {dist.mean} must be below alpha {spec.alpha}"
         )
     delta = _check_open_unit(delta, "delta")
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of method names, not the string {methods!r}")
     if not methods:
         raise ValueError("methods must be non-empty")
     counts: Counter[str] = Counter()

@@ -13,7 +13,9 @@ import math
 import operator
 from bisect import bisect_right
 
-from .binomial import BinomialParams, Record, _check_positive_int, cdf, sf
+from .binomial import (
+    BinomialParams, Record, _check_closed_unit, _check_open_unit, _check_positive_int, cdf, sf,
+)
 
 __all__ = [
     "TestSpec",
@@ -32,31 +34,6 @@ __all__ = [
 # capped so that a large n*t keeps a real fraction above an integer.
 SNAP_RTOL = 1e-9
 SNAP_ATOL = 1e-6
-
-
-def _check_open_unit(value, name: str) -> float:
-    v = float(value)
-    if math.isnan(v) or not 0.0 < v < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-    return v
-
-
-def _check_closed_unit(value, name: str) -> float:
-    v = float(value)
-    if math.isnan(v) or not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-    return v
-
-
-def _check_weights(values, name: str) -> None:
-    if any(v < 0.0 or math.isnan(v) for v in values):
-        raise ValueError(f"{name} must be non-negative")
-    try:
-        total = math.fsum(values)
-    except OverflowError:  # finite values whose sum exceeds the largest double
-        total = math.inf
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"{name} must sum to 1, got {total!r}")
 
 
 def _snapped_ceil(n: int, t: float) -> tuple[int, bool]:
@@ -206,9 +183,7 @@ def g_inverse(delta: float, ctx: TestSpec) -> float:
         If delta < (1 - alpha)**n (no grid point qualifies), or when
         gamma = 1 so the domain contains only the boundary point.
     """
-    delta = float(delta)
-    if math.isnan(delta) or not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    delta = _check_open_unit(delta, "delta")
     if ctx.gamma == 1:
         raise ValueError(
             "the bound's domain holds only its boundary point, whose value is "

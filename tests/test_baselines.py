@@ -73,10 +73,11 @@ class TestKlBernoulli:
     def test_frozen_interior_value(self):
         assert kl_bernoulli(0.0152, 0.1) == pytest.approx(0.060040249286769744, rel=REL)
 
-    @pytest.mark.parametrize("b", [0.0, 1.0])
+    @pytest.mark.parametrize("b", [0.0, 1.0, -0.5, float("nan")])
     def test_degenerate_reference_rejected(self, b):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             kl_bernoulli(0.5, b)
+        assert str(exc.value) == f"b must lie in (0, 1), got {b!r}"
 
     @pytest.mark.parametrize("a", [-0.01, 1.01])
     def test_a_domain(self, a):
@@ -164,8 +165,12 @@ class TestCompare:
         assert rep.bentkus == 1.0
 
     def test_report_validates_ranges(self):
-        with pytest.raises(ValueError):
-            PValueReport(rhat=0.1, alpha=0.1, n=10, prw=1.5, bentkus=0.5, hoeffding_tight=0.5)
+        for field in ("prw", "bentkus", "hoeffding_tight"):
+            for value in (1.5, -0.25, float("nan")):
+                pvalues = {"prw": 0.5, "bentkus": 0.5, "hoeffding_tight": 0.5, field: value}
+                with pytest.raises(ValueError) as exc:
+                    PValueReport(rhat=0.1, alpha=0.1, n=10, **pvalues)
+                assert str(exc.value) == f"{field} p-value must lie in [0, 1], got {value!r}"
 
     def test_fields_carried(self):
         rep = compare(0.03, SPEC)

@@ -21,7 +21,9 @@ from prwtest.cli import (
     parse_grid,
     read_loss_csv,
     read_pvalue_csv,
+    round_half_away,
 )
+from prwtest.mc import PVALUE_METHODS
 from prwtest.prw import TestSpec, prw_pvalue
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -384,10 +386,12 @@ class TestCompare:
             assert (row["rhat"], row["prw"], row["hoeffding_tight"], row["bentkus"]) == (r, p, h, b)
 
     def test_default_grid_shape(self):
-        assert len(DEFAULT_COMPARE_GRID) == 45
-        assert DEFAULT_COMPARE_GRID[0] == 0.0
-        steps = [b - a for a, b in zip(DEFAULT_COMPARE_GRID, DEFAULT_COMPARE_GRID[1:])]
-        assert all(s == pytest.approx(steps[0], rel=1e-6) for s in steps)
+        assert DEFAULT_COMPARE_GRID == tuple(i * 0.0015151516 for i in range(45))
+        # the doubles the reference table was generated at; point 33 is 0.0500000028,
+        # just above the 0.05 step breakpoint
+        pinned = {1: "0x1.8d301a482c73ep-10", 3: "0x1.29e413b62156ep-8",
+                  33: "0x1.99999b1a6dd78p-5", 44: "0x1.111112119e8fbp-4"}
+        assert {i: DEFAULT_COMPARE_GRID[i].hex() for i in pinned} == pinned
 
 
 class TestPvalue:
@@ -751,6 +755,32 @@ class TestDigits:
         raw = prw_pvalue(0.05, TestSpec(100, 0.05000000006), clamp=False)
         assert raw > 1e8
         assert json.loads(out)["pvalues"]["prw"] == raw
+
+    @pytest.mark.parametrize("digits", range(7, 28))
+    def test_cells_are_fixed_point_with_every_decimal(self, capsys, digits):
+        def rows(grid, spec):
+            return [[r, *(f(r, spec) for f in PVALUE_METHODS.values())] for r in grid]
+
+        far = TestSpec(100, 0.05000000006)  # the unclamped PRW value at 0.05 is of order 1e9
+        cases = {  # 0 and 1e-320, p-values down to 1e-46 and 1e-8, and one far above 1
+            ("pvalue", "--rhat", "1e-320", "--n", "1000", "--alpha", "0.1"):
+                rows([1e-320], TestSpec(1000, 0.1)),
+            ("compare", "--grid", "0:0.01:0.02"):
+                rows(parse_grid("0:0.01:0.02"), TestSpec(100, 0.1)),
+            ("compare", "--n", "1000", "--grid", "0.05:0.01:0.07"):
+                rows(parse_grid("0.05:0.01:0.07"), TestSpec(1000, 0.1)),
+            ("pvalue", "--rhat", "0.05", "--n", "100", "--alpha", "0.05000000006",
+             "--method", "prw", "--unclamped"): [[0.05, prw_pvalue(0.05, far, clamp=False)]],
+        }
+        for argv, expected in cases.items():
+            code, out, _ = run(capsys, *argv, "--digits", str(digits))
+            assert code == 0
+            cells = [line.split(",") for line in out.splitlines()[1:]]
+            assert len(cells) == len(expected)
+            for row, values in zip(cells, expected):
+                assert row == [format(round_half_away(v, digits), "f") for v in values]
+                assert all("e" not in c.lower() for c in row)
+                assert all(len(c.partition(".")[2]) == digits for c in row)
 
 
 def checkout_env():

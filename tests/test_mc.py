@@ -255,6 +255,14 @@ class TestPower:
                 [], delta=0.05, reps=10, seed=0,
             )
 
+    def test_rejects_a_bare_method_name(self):
+        # a string is a sequence of one-letter names; the error names the string instead
+        with pytest.raises(ValueError, match="not the string 'prw'"):
+            simulate_power(
+                LossDistribution.bernoulli(0.01), TestSpec(n=10, alpha=0.1),
+                "prw", delta=0.05, reps=10, seed=0,
+            )
+
 
 @pytest.mark.parametrize("reps", [0, 2.5, "3"])
 def test_simulations_reject_non_positive_integer_reps(reps):

@@ -297,8 +297,9 @@ class TestGInverse:
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, float("nan")])
     def test_domain(self, delta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             g_inverse(delta, self.CTX)
+        assert str(exc.value) == f"delta must lie in (0, 1), got {delta!r}"
 
 
 @given(
