@@ -14,7 +14,6 @@ special-function dependency of every bound in the package.
 
 from __future__ import annotations
 
-import decimal
 import math
 import operator
 import sys
@@ -40,13 +39,12 @@ _ANCHOR_BITS = 128
 _EXACT_COMB_MAX = 600
 # Decimal digits of the Stirling enclosure: its rounding slack
 # n * 10**(6 - prec) stays below 2**-80 for every n up to sys.maxsize.
-_DECIMAL = decimal.Context(prec=50)
-_LN2 = _DECIMAL.ln(2)
-_HALF_LN_2PI = decimal.Decimal("0.918938533204672741780329736405617639861397473637783412817152")
+_DECIMAL_PREC = 50
+# ln 2 to _DECIMAL_PREC digits and ln(2 pi) / 2 to 60, as strings: no import loads decimal.
+_LN2 = "0.69314718055994530941723212145817656807550013436026"
+_HALF_LN_2PI = "0.918938533204672741780329736405617639861397473637783412817152"
 # B_2i / (2i (2i - 1)) for i = 1..4; the i = 5 term, 1/1188, bounds the remainder.
-_STIRLING = tuple(
-    _DECIMAL.divide(num, den) for num, den in ((1, 12), (-1, 360), (1, 1260), (-1, 1680))
-)
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680))
 
 
 def _check_positive_int(value, name: str) -> int:
@@ -69,7 +67,7 @@ def _check_open_unit(value, name: str) -> float:
 def _check_closed_unit(value, name: str) -> float:
     v = float(value)
     if math.isnan(v) or not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return v
 
 
@@ -273,26 +271,29 @@ def _comb_bounds(n: int, j: int) -> tuple[int, int, int]:
         comb = math.comb(n, k)
         cut = max(0, comb.bit_length() - _ANCHOR_BITS)
         return comb >> cut, -(-comb >> cut), cut
-    with decimal.localcontext(_DECIMAL):
+    import decimal  # only this branch needs it, so no other path loads it
+    with decimal.localcontext(decimal.Context(prec=_DECIMAL_PREC)):
         log_comb = _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
         # The first omitted term of each series bounds its remainder.  Each
         # decimal operation rounds by at most 10**(1 - prec) / 2 relative to
         # a term below 50 * n, so the few dozen of them stay far inside
         # n * 10**(6 - prec).
-        slack = 3 / decimal.Decimal(1188 * k**9) + decimal.Decimal(n).scaleb(6 - _DECIMAL.prec)
-        exp = int(log_comb / _LN2) - _ANCHOR_BITS
-        scaled = log_comb - exp * _LN2  # ln(comb / 2**exp), about _ANCHOR_BITS * ln 2
+        slack = 3 / decimal.Decimal(1188 * k**9) + decimal.Decimal(n).scaleb(6 - _DECIMAL_PREC)
+        ln2 = decimal.Decimal(_LN2)
+        exp = int(log_comb / ln2) - _ANCHOR_BITS
+        scaled = log_comb - exp * ln2  # ln(comb / 2**exp), about _ANCHOR_BITS * ln 2
         # exp() rounds its result of about 2**_ANCHOR_BITS by far less than 1
         return int((scaled - slack).exp()) - 1, int((scaled + slack).exp()) + 2, exp
 
 
 def _log_factorial(x: int) -> decimal.Decimal:
     """ln(x!) from Stirling's series to the x**-7 term, in the current decimal context."""
-    inv = decimal.Decimal(1) / x
+    from decimal import Decimal
+    inv = Decimal(1) / x
     series = 0
-    for coef in reversed(_STIRLING):
-        series = series * inv * inv + coef
-    return (x + decimal.Decimal("0.5")) * decimal.Decimal(x).ln() - x + _HALF_LN_2PI + series * inv
+    for num, den in reversed(_STIRLING):
+        series = series * inv * inv + Decimal(num) / den
+    return (x + Decimal("0.5")) * Decimal(x).ln() - x + Decimal(_HALF_LN_2PI) + series * inv
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

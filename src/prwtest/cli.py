@@ -15,22 +15,18 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import csv
 import io
-import json
 import math
 import operator
 import os
 import sys
-from decimal import Decimal, ROUND_HALF_UP, localcontext
 from typing import BinaryIO, Callable, Iterable, Optional, Sequence, TextIO
 
 from .baselines import compare  # noqa: F401  perfbench's tracer test reads cli.compare
 from .binomial import _check_closed_unit
 from .fwer import FwerPlan, bonferroni, fallback, fixed_sequence
 from .mc import PVALUE_METHODS, LossDistribution, simulate_superuniformity
-from .prw import TestSpec
-from .prw import prw_pvalue  # noqa: F401  perfbench's tracer test reads cli.prw_pvalue
+from .prw import TestSpec, prw_pvalue  # noqa: F401  perfbench's tracer test reads cli.prw_pvalue
 
 __all__ = ["read_loss_csv", "main", "entrypoint", "DEFAULT_COMPARE_GRID"]
 
@@ -104,6 +100,7 @@ def _read_plain_column(
     the same whitespace as the row scan's str.strip().  The row scan skips
     the whitespace-only lines that bytes.strip() empties here.
     """
+    import csv  # loaded by the first read; the limit is read anew, so a changed one holds
     limit = csv.field_size_limit()
     values: list[float] = []
     at_header = True
@@ -142,6 +139,7 @@ def _read_plain_column(
 
 def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> tuple[float, ...]:
     """The csv row scan behind ``_read_column``: the source of every read error."""
+    import csv
     values: list[float] = []
     row_number = -1  # the header is row 0, data rows count from 1
     reader = csv.reader(fh)
@@ -184,17 +182,17 @@ def read_pvalue_csv(path: str) -> tuple[float, ...]:
     return _read_column(path, "pvalue", "p-value")
 
 
-def round_half_away(value: float, digits: int) -> Decimal:
-    """Round to `digits` decimals with ties going away from zero.
+def round_half_away(value: float, digits: int) -> str:
+    """``value`` to ``digits`` decimals in fixed point, with ties going away from zero.
 
-    The decimal context is widened to hold every digit of the result, so
-    unclamped bound values far above 1 round as exactly as p-values do.
+    The double's exact ratio is rounded in integers, so unclamped bound values
+    far above 1 round as exactly as p-values do.  A zero result keeps the sign.
     """
-    exact = Decimal(value)
-    quantum = Decimal(1).scaleb(-digits)
-    with localcontext() as context:
-        context.prec = max(context.prec, exact.adjusted() + digits + 2)
-        return exact.quantize(quantum, rounding=ROUND_HALF_UP)
+    num, den = abs(value).as_integer_ratio()
+    q, r = divmod(num * 10**digits, den)
+    whole, frac = divmod(q + (2 * r >= den), 10**digits)
+    sign = "-" if math.copysign(1.0, value) < 0.0 else ""
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
 
 
 def _resolve_digits(value: Optional[int]) -> int:
@@ -302,12 +300,12 @@ def _emit(
 ) -> None:
     """Write a command's output: one JSON document, or a CSV table.
 
-    ``payload()`` is called only for ``--format json``; a rounded Decimal in
-    it is written as the float it rounds to.  CSV rows are written one at a
-    time, each value through ``cell``.
+    ``payload()`` is called, and ``json`` imported, only for ``--format
+    json``.  CSV rows are written one at a time, each value through ``cell``.
     """
     if args.format == "json":
-        print(json.dumps(payload(), default=float))
+        import json
+        print(json.dumps(payload()))
         return
     out = sys.stdout
     out.write(",".join(columns) + "\n")
@@ -340,10 +338,10 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
 
     digits = _resolve_digits(args.digits)
     row = [round_half_away(v, digits) for v in (rhat, *values.values())]
-    _emit(args, ("rhat", *values), [row], "{:f}".format, lambda: {
+    _emit(args, ("rhat", *values), [row], str, lambda: {
         "command": "pvalue", "n": spec.n, "alpha": spec.alpha, "rhat": rhat,
         "digits": digits, "unclamped": bool(args.unclamped),
-        "pvalues": dict(zip(values, row[1:])),
+        "pvalues": dict(zip(values, map(float, row[1:]))),
     })
     return 0
 
@@ -353,9 +351,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     grid = DEFAULT_COMPARE_GRID if args.grid is None else parse_grid(args.grid)
     digits = _resolve_digits(args.digits)
     rows = [[round_half_away(v, digits) for v in _curve_row(r, spec)] for r in grid]
-    _emit(args, _CURVE_COLUMNS, rows, "{:f}".format, lambda: {
+    _emit(args, _CURVE_COLUMNS, rows, str, lambda: {
         "command": "compare", "n": spec.n, "alpha": spec.alpha, "digits": digits,
-        "rows": [dict(zip(_CURVE_COLUMNS, row)) for row in rows],
+        "rows": [dict(zip(_CURVE_COLUMNS, map(float, row))) for row in rows],
     })
     return 0
 

@@ -4,11 +4,13 @@ Frozen expected values were computed with the exact rational oracle in
 ``_oracle.py`` (see the test bodies that recompute them inline).
 """
 
+import decimal
 import itertools
 import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,22 @@ class TestParams:
     def test_bad_p(self, p):
         with pytest.raises(ValueError):
             BinomialParams(n=5, p=p)
+
+
+class TestUnitChecks:
+    """Both interval checks quote the argument as the caller passed it."""
+
+    @pytest.mark.parametrize("check, interval", [
+        (binomial._check_open_unit, "(0, 1)"), (binomial._check_closed_unit, "[0, 1]"),
+    ])
+    @pytest.mark.parametrize("value, shown", [
+        (2, "2"), ("2", "'2'"), (np.float64(2.0), repr(np.float64(2.0))), (2.0, "2.0"),
+        (-0.5, "-0.5"), (float("nan"), "nan"),
+    ])
+    def test_message_quotes_the_argument(self, check, interval, value, shown):
+        with pytest.raises(ValueError) as exc:
+            check(value, "x")
+        assert str(exc.value) == f"x must lie in {interval}, got {shown}"
 
 
 class TestCdf:
@@ -313,13 +331,18 @@ class TestAnchor:
         assert (hi - lo) * 2**90 <= lo
 
     def test_stirling_constants(self):
+        # strings and integer ratios, so that importing binomial loads no decimal;
+        # ln 2 is the value a context of _DECIMAL_PREC digits computes
         mpmath = pytest.importorskip("mpmath")
+        context = decimal.Context(prec=binomial._DECIMAL_PREC)
+        assert decimal.Decimal(binomial._LN2) == context.ln(2)
         with mpmath.workprec(300):
             half_ln_2pi = mpmath.log(2 * mpmath.pi) / 2
-            assert abs(mpmath.mpf(str(binomial._HALF_LN_2PI)) - half_ln_2pi) < 1e-59
-            for i, coef in enumerate(binomial._STIRLING, start=1):
+            assert abs(mpmath.mpf(binomial._HALF_LN_2PI) - half_ln_2pi) < 1e-59
+            assert abs(mpmath.mpf(binomial._LN2) - mpmath.log(2)) < 1e-50
+            for i, (num, den) in enumerate(binomial._STIRLING, start=1):
                 want = mpmath.bernoulli(2 * i) / (2 * i * (2 * i - 1))
-                assert abs(mpmath.mpf(str(coef)) - want) < 1e-50
+                assert abs(mpmath.mpf(str(context.divide(num, den))) - want) < 1e-50
 
 
 def mpmath_tails(n, p, ks):

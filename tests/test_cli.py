@@ -2,19 +2,22 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from prwtest import cli
 from prwtest.cli import (
     DEFAULT_COMPARE_GRID,
+    MAX_DIGITS,
     DataError,
     main,
     parse_dist,
@@ -47,6 +50,18 @@ def write_pvalues(tmp_path, values, name="pvalues.csv"):
     path = tmp_path / name
     path.write_text("pvalue\n" + "\n".join(str(v) for v in values) + "\n", encoding="utf-8")
     return str(path)
+
+
+def decimal_half_up(value, digits):
+    """``value`` rounded to ``digits`` decimals by Decimal's ROUND_HALF_UP: the reference.
+
+    The context is widened to hold every digit of the result, so values far
+    above 1 are quantized exactly too.
+    """
+    exact = Decimal(value)
+    with localcontext() as context:
+        context.prec = max(context.prec, exact.adjusted() + digits + 2)
+        return exact.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP)
 
 
 # (reader, header, label): both single-column readers share one format and
@@ -223,6 +238,16 @@ class TestBulkRead:
         assert through_pipe(data, "loss", "loss") == (
             read_outcome(row_scan, str(path), "loss", "loss")
         )
+
+    def test_a_field_limit_lowered_in_process_holds(self, capsys, tmp_path):
+        path = write_losses(tmp_path, ["0.5", "0." + "0" * 118])  # a 120-byte line
+        old = csv.field_size_limit(100)
+        try:
+            code, out, err = run(capsys, "pvalue", "--losses", path, "--alpha", "0.1")
+        finally:
+            csv.field_size_limit(old)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: row 2: field larger than field limit (100)\n"
 
     @pytest.mark.parametrize("data, expected", [
         (b'loss\n"0.5"\n0.25\n', (0.5, 0.25)),
@@ -778,9 +803,32 @@ class TestDigits:
             cells = [line.split(",") for line in out.splitlines()[1:]]
             assert len(cells) == len(expected)
             for row, values in zip(cells, expected):
-                assert row == [format(round_half_away(v, digits), "f") for v in values]
+                assert row == [format(decimal_half_up(v, digits), "f") for v in values]
                 assert all("e" not in c.lower() for c in row)
                 assert all(len(c.partition(".")[2]) == digits for c in row)
+
+    @pytest.mark.parametrize("value, digits, text", [
+        (0.125, 2, "0.13"), (2.5, 0, "3"), (-0.0, 4, "-0.0000"), (-2.5, 0, "-3"),
+        (-1e-9, 4, "-0.0000"), (0.0, 0, "0"), (5e-324, 27, "0." + "0" * 27),
+    ])
+    def test_round_half_away_ties_and_signs(self, value, digits, text):
+        assert round_half_away(value, digits) == text
+
+    @given(value=st.floats(allow_nan=False, allow_infinity=False),
+           digits=st.integers(0, MAX_DIGITS))
+    @example(value=0.125, digits=2)
+    @example(value=-0.0, digits=4)
+    @example(value=5e-324, digits=27)
+    @example(value=1.7976931348623157e308, digits=27)
+    @example(value=999999999.9999999, digits=7)
+    def test_round_half_away_matches_decimal(self, value, digits):
+        # the string is Decimal's fixed-point form, and float() of it is the
+        # float of the quantized Decimal, sign included
+        text = round_half_away(value, digits)
+        want = decimal_half_up(value, digits)
+        assert text == format(want, "f")
+        assert math.copysign(1.0, float(text)) == math.copysign(1.0, float(want))
+        assert float(text) == float(want)
 
 
 def checkout_env():
@@ -850,6 +898,39 @@ print(code, sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sy
 """)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "0 []\n"
+
+
+COLD_START_SCRIPT = """
+import contextlib, io, sys
+import prwtest.cli
+WATCHED = ("decimal", "numbers", "json", "csv")
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+seen = [loaded()]
+for argv in (["compare"], ["plotdata", "--n", "50"], ["compare", "--format", "json"],
+             ["pvalue", "--rhat", "0.0999", "--n", "100000", "--alpha", "0.1",
+              "--digits", "27", "--unclamped"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert prwtest.cli.main(argv) == 0, argv
+    seen.append(loaded())
+print(seen)
+print(out.getvalue(), end="")
+"""
+
+
+def test_cold_start_loads_decimal_json_and_csv_only_where_used():
+    # each is a millisecond or so of an import that is most of a pvalue process:
+    # json serves --format json, decimal the Stirling anchor (min(m, n - m) > 600)
+    result = run_python("-c", COLD_START_SCRIPT)
+    assert result.returncode == 0, result.stderr
+    seen, header, row = result.stdout.splitlines()
+    assert seen == str([[], [], [], ["json"], ["decimal", "numbers", "json"]])
+    assert header == "rhat,prw,hoeffding_tight,bentkus"
+    assert row == ",".join([  # the same cells as before decimal was deferred
+        "0.099900000000000002686739720", "414.648636239574329920287709683",
+        "0.994458210204651193997449354", "1.252229589029465683935882225",
+    ])
 
 
 def test_package_exports_keep_their_names_and_order():
