@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .binomial import BinomialParams, Record, _check_closed_unit, _check_open_unit, cdf
+from .binomial import Record, _check_closed_unit, _check_open_unit, cdf
 from .prw import TestSpec, _snapped_ceil, prw_pvalue
 
 __all__ = ["PValueReport", "bentkus_pvalue", "kl_bernoulli", "hoeffding_tight_pvalue", "compare"]
@@ -38,7 +38,7 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     steps = spec._bentkus_steps
     value = steps.get(k)
     if value is None:
-        value = steps[k] = math.e * cdf(BinomialParams(spec.n, spec.alpha), k)
+        value = steps[k] = math.e * cdf(spec._law(), k)
     return 1.0 if clamp and value > 1.0 else value
 
 

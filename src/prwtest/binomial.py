@@ -59,14 +59,14 @@ def _check_positive_int(value, name: str) -> int:
 
 def _check_open_unit(value, name: str) -> float:
     v = float(value)
-    if math.isnan(v) or not 0.0 < v < 1.0:
+    if not 0.0 < v < 1.0:  # NaN fails every comparison
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     return v
 
 
 def _check_closed_unit(value, name: str) -> float:
     v = float(value)
-    if math.isnan(v) or not 0.0 <= v <= 1.0:
+    if not 0.0 <= v <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return v
 
@@ -134,7 +134,7 @@ class BinomialParams(Record):
         if count > sys.maxsize:  # math.comb's limit, met by the exact fallback anchor
             raise ValueError(f"n must be at most {sys.maxsize}, got {n!r}")
         prob = float(p)
-        if math.isnan(prob) or not 0.0 <= prob <= 1.0:
+        if not 0.0 <= prob <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {p!r}")
         # set here, not through Record.__init__: a law is built for every tail query
         object.__setattr__(self, "n", count)

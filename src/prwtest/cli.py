@@ -162,7 +162,7 @@ def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> tuple[float, .
                 value = float(text)
             except ValueError:
                 raise DataError(f"{path}: row {row_number}: not a number: {text!r}") from None
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
+            if not 0.0 <= value <= 1.0:
                 raise DataError(f"{path}: row {row_number}: {label} {text} outside [0, 1]")
             values.append(value)
     except csv.Error as exc:

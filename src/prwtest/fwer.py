@@ -8,7 +8,6 @@ super-uniform convention P(p <= delta) <= delta.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .binomial import Record, _check_open_unit, _check_weights
@@ -32,7 +31,7 @@ class FwerPlan(Record):
         if not pvalues:
             raise ValueError("plan must contain at least one hypothesis")
         for i, p in enumerate(pvalues):
-            if math.isnan(p) or not 0.0 <= p <= 1.0:
+            if not 0.0 <= p <= 1.0:
                 raise ValueError(f"p-value at position {i} must lie in [0, 1], got {p!r}")
         delta = _check_open_unit(delta, "delta")
         if weights is not None:

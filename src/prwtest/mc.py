@@ -84,7 +84,7 @@ class LossDistribution(Record):
         probs = tuple(float(q) for q in probs)
         if not support or len(support) != len(probs):
             raise ValueError("support and probs must be non-empty and equal length")
-        if any(math.isnan(x) or not 0.0 <= x <= 1.0 for x in support):
+        if any(not 0.0 <= x <= 1.0 for x in support):
             raise ValueError(f"support must lie within [0, 1], got {support}")
         _check_weights(probs, "probabilities")
         mean = math.fsum(x * q for x, q in zip(support, probs))

@@ -37,11 +37,11 @@ SNAP_ATOL = 1e-6
 
 
 def _snapped_ceil(n: int, t: float) -> tuple[int, bool]:
-    """(ceil(n*t), False), or (the integer i, True) when |n*t - i| is within the snap slack."""
+    """(ceil(n*t), False), or (i, True) when n*t is within the snap slack of i; 0 needs n*t = 0."""
     nt = n * t
     nearest = round(nt)
     d = abs(nt - nearest)
-    if d <= SNAP_ATOL and (d <= SNAP_RTOL or d <= SNAP_RTOL * nt):
+    if d <= SNAP_ATOL and (d <= SNAP_RTOL or d <= SNAP_RTOL * nt) and (nearest or not nt):
         return nearest, True
     return math.ceil(nt), False
 
@@ -53,13 +53,14 @@ class TestSpec(Record):
     also the bound's (n, mean).  Built as ``TestSpec(n, alpha)``.  The
     derived ``gamma`` is the smallest positive integer >= n*alpha and
     ``t_max = (gamma - 1)/n`` is the right endpoint of the bound's domain;
-    the bound is only defined left of the binomial mean.
+    the bound is only defined left of the binomial mean.  Filled on first use
+    and not fields, so equality, hash and repr ignore them and a copy starts
+    empty: ``g``'s and ``bentkus_pvalue``'s raw steps by snapped ceiling k,
+    the raw capped PRW value ``g(t_max)`` and the law Bin(n, alpha).
     """
 
     _fields = ("n", "alpha", "gamma", "t_max")
-    # Raw steps of g and bentkus_pvalue by snapped ceiling k, filled on first use.  Not
-    # fields, so equality, hash and repr ignore them; racing misses store a value twice.
-    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps")
+    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps", "_capped", "_binomial")
 
     def __init__(self, n: int, alpha: float) -> None:
         n = _check_positive_int(n, "n")
@@ -68,9 +69,16 @@ class TestSpec(Record):
         super().__init__(n, alpha, gamma, (gamma - 1) / n)
         object.__setattr__(self, "_prw_steps", {})
         object.__setattr__(self, "_bentkus_steps", {})
+        object.__setattr__(self, "_capped", None)
+        object.__setattr__(self, "_binomial", None)
 
     def __reduce__(self):  # gamma and t_max are derived; a copy starts with an empty memo
         return type(self), (self.n, self.alpha)
+
+    def _law(self) -> BinomialParams:  # lazy: a spec takes an n BinomialParams rejects
+        if self._binomial is None:  # racing misses store the same value twice, as the memos do
+            object.__setattr__(self, "_binomial", BinomialParams(self.n, self.alpha))
+        return self._binomial
 
     @classmethod
     def from_mean(cls, n: int, mean: float) -> "TestSpec":
@@ -137,9 +145,12 @@ def lower_tail_bound(n: int, mean: float, k: int) -> float:
     # landing a few ulps off an integer.
     if not 0 <= k <= gamma_r(n, mean) - 1:
         raise ValueError(f"k must be an integer in [0, n*mean) = [0, {n * mean}), got {k}")
-    a, d = mean.as_integer_ratio()  # as in upper_tail_bound
-    factor = a * (n - k) / (n * a - k * d)
-    return factor * cdf(BinomialParams(n, mean), k)
+    return _lower_step(BinomialParams(n, mean), k)
+
+
+def _lower_step(law: BinomialParams, k: int) -> float:  # lower_tail_bound at a checked k
+    a, d = law.p.as_integer_ratio()  # as in upper_tail_bound
+    return a * (law.n - k) / (law.n * a - k * d) * cdf(law, k)
 
 
 def g(t: float, ctx: TestSpec) -> float:
@@ -149,20 +160,24 @@ def g(t: float, ctx: TestSpec) -> float:
     ceiling of n*t.  At the boundary, where n*t snaps to gamma - 1 (or, past
     n = 4.5e9, rounds above it), the value is clamped below by 1, which makes
     the capped p-value valid.  g(0) equals (1 - alpha)**n exactly whenever
-    gamma >= 2.  The package's only path from t to a PRW step, for
+    gamma >= 2; no t > 0 snaps to it.  The only path from t to a PRW step, for
     ``prw_pvalue`` and ``g_inverse`` too: each step is computed once per spec.
     """
     t = float(t)
     k, snapped = _snapped_ceil(ctx.n, t) if 0.0 <= t <= 1.0 else (-1, False)
-    last = ctx.gamma - 1
-    if not (0.0 <= t <= ctx.t_max or snapped and k == last):
+    if not (0.0 <= t <= ctx.t_max or snapped and k == ctx.gamma - 1):
         raise ValueError(f"t must lie in [0, {ctx.t_max}], got {t!r}")
+    return _g(k, snapped, ctx)
+
+
+def _g(k: int, snapped: bool, ctx: TestSpec) -> float:  # g at the snapped ceiling of a valid t
+    last = ctx.gamma - 1
     on_boundary = k > last or snapped and k == last
     k = last if on_boundary else k
     steps = ctx._prw_steps
     value = steps.get(k)
     if value is None:
-        value = steps[k] = lower_tail_bound(ctx.n, ctx.alpha, k)
+        value = steps[k] = _lower_step(ctx._law(), k)
     return 1.0 if on_boundary and value < 1.0 else value
 
 
@@ -203,7 +218,12 @@ def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
 
     ``min(1, g(min(rhat, spec.t_max)))``.  ``clamp=False`` returns the raw
     bound value, which exceeds 1 in the capped region; useful for
-    diagnostics only.
+    diagnostics only.  An rhat >= t_max reads the spec's stored ``g(t_max)``,
+    filled by the first such call; any other rhat snaps once into ``g``'s memo.
     """
-    value = g(min(_check_closed_unit(rhat, "rhat"), spec.t_max), spec)
+    rhat = _check_closed_unit(rhat, "rhat")
+    value = spec._capped if rhat >= spec.t_max else _g(*_snapped_ceil(spec.n, rhat), spec)
+    if value is None:  # the spec's first capped call
+        value = g(spec.t_max, spec)
+        object.__setattr__(spec, "_capped", value)
     return 1.0 if clamp and value > 1.0 else value

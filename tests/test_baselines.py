@@ -1,6 +1,9 @@
 """Tests for the Bentkus and tight-Hoeffding p-values and the joint report."""
 
+import copy
 import math
+import pickle
+from collections import Counter
 from decimal import Decimal, ROUND_HALF_UP
 
 import pytest
@@ -15,7 +18,7 @@ from prwtest.baselines import (
     kl_bernoulli,
 )
 from prwtest.binomial import BinomialParams, cdf
-from prwtest import prw
+from prwtest import baselines, prw
 from prwtest.prw import TestSpec, ceil_scaled, lower_tail_bound, prw_pvalue
 
 REL = 1e-12
@@ -33,6 +36,10 @@ class TestBentkus:
         got = bentkus_pvalue(0.0, SPEC)
         assert got == pytest.approx(7.220136793458129e-05, rel=REL)
         assert round4(got) == "0.0001"
+
+    def test_a_tiny_risk_does_not_snap_to_zero(self):
+        # n*rhat = 5e-324 ceils to 1, where cdf is 1; step 0 would read e/2
+        assert bentkus_pvalue(5e-324, TestSpec(n=1, alpha=0.5), clamp=False) == math.e
 
     def test_published_step(self):
         # ceil(100 * 0.0606) = 7
@@ -224,9 +231,11 @@ def snap_slack(nt: float) -> float:
 
 
 def reference_ceil(n: int, t: float) -> int:
-    """ceil(n*t), snapped to the nearest integer within snap_slack."""
+    """ceil(n*t), snapped to the nearest integer within snap_slack; a positive
+    n*t never snaps to 0."""
     nt = n * t
-    return round(nt) if abs(nt - round(nt)) <= snap_slack(nt) else math.ceil(nt)
+    snaps = abs(nt - round(nt)) <= snap_slack(nt) and (round(nt) > 0 or nt == 0)
+    return round(nt) if snaps else math.ceil(nt)
 
 
 def prw_reference(rhat: float, spec: TestSpec) -> float:
@@ -265,9 +274,13 @@ def edge_points(spec: TestSpec) -> list[float]:
 def assert_memo_matches_reference(spec: TestSpec, points) -> None:
     """Clamped and raw values, on the first and on a repeat call, equal the
     unmemoised references bit for bit.  The first pass alternates which of
-    the two calls fills an entry."""
+    the two calls fills an entry.  The stored capped PRW value is empty until
+    the first rhat >= t_max and then holds the reference's raw g(t_max)."""
+    capped = spec._capped
     for repeat in (False, True):
         for i, rhat in enumerate(points):
+            if rhat >= spec.t_max:
+                capped = prw_reference(spec.t_max, spec)
             for fn, ref in ((prw_pvalue, prw_reference), (bentkus_pvalue, bentkus_reference)):
                 want = ref(rhat, spec)
                 calls = [(fn(rhat, spec), min(1.0, want)),
@@ -276,6 +289,7 @@ def assert_memo_matches_reference(spec: TestSpec, points) -> None:
                     calls.reverse()
                 for got, expected in calls:
                     assert got == expected, (fn.__name__, spec, rhat, repeat)
+            assert spec._capped == capped, (spec, rhat, repeat)
 
 
 class TestStepMemo:
@@ -324,6 +338,47 @@ class TestStepMemo:
         assert prw_pvalue(spec.t_max, spec, clamp=False) == want
         assert prw_pvalue(0.5, spec, clamp=False) == want
         assert_memo_matches_reference(spec, [0.069, 0.07, 0.0700000001, 1.0])
+        # the same value when interior calls, one of them on step 7, come first
+        fresh = TestSpec(n=100, alpha=0.075)
+        assert_memo_matches_reference(fresh, [0.069, 0.0699, 0.05, 0.0700000001, 0.07])
+        assert fresh._capped == want
+
+    @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (2, 0.7), (1, 0.5)])
+    def test_capped_value_filled_by_the_first_call(self, n, alpha):
+        spec = TestSpec(n=n, alpha=alpha)
+        assert_memo_matches_reference(spec, [1.0, spec.t_max, 0.0, 0.5 * spec.t_max, 0.999])
+
+    @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (2, 0.7), (1, 0.5)])
+    def test_capped_value_filled_after_interior_calls(self, n, alpha):
+        # interior calls fill steps up to gamma - 1; the first capped call then
+        # reads step gamma - 1 from the memo and stores it, clamped below by 1
+        spec = TestSpec(n=n, alpha=alpha)
+        interior = [j / n for j in range(spec.gamma - 1)] + [math.nextafter(spec.t_max, 0.0)]
+        assert_memo_matches_reference(spec, [r for r in interior if r < spec.t_max] + [1.0])
+        assert spec._capped == prw_reference(1.0, spec) >= 1.0
+
+    def test_unclamped_first_call_stores_the_raw_value(self):
+        spec = TestSpec(n=100, alpha=0.1)
+        raw = prw_pvalue(0.5, spec, clamp=False)
+        assert raw == spec._capped == lower_tail_bound(100, 0.1, 9) > 1.0
+        assert (prw_pvalue(0.5, spec), prw_pvalue(0.09, spec, clamp=False)) == (1.0, raw)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec)),
+    ])
+    def test_a_copy_of_a_warm_spec_starts_empty_with_the_same_bits(self, clone):
+        warm = TestSpec(n=100, alpha=0.1)
+        points = [0.0, 0.031, 0.05, 0.0899, 0.09, 0.5, 1.0]
+        want = [(prw_pvalue(r, warm, clamp=c), bentkus_pvalue(r, warm, clamp=c))
+                for r in points for c in (True, False)]
+        spec = clone(warm)
+        assert spec == warm
+        assert (spec._prw_steps, spec._bentkus_steps, spec._capped, spec._binomial) == (
+            {}, {}, None, None)
+        got = [(prw_pvalue(r, spec, clamp=c), bentkus_pvalue(r, spec, clamp=c))
+               for r in points for c in (True, False)]
+        assert got == want
+        assert_memo_matches_reference(clone(warm), points)
 
     @pytest.mark.parametrize("order", [(0.3, 0.5), (0.5, 0.3)])
     def test_only_the_snapped_boundary_is_clamped_below_by_one(self, order):
@@ -341,3 +396,50 @@ class TestStepMemo:
         assert queried == fresh
         assert hash(queried) == hash(fresh)
         assert repr(queried) == repr(fresh) == "TestSpec(n=100, alpha=0.1, gamma=10, t_max=0.09)"
+
+
+class TestCdfBindings:
+    """A cold PRW or Bentkus step calls ``cdf`` once, through the module
+    binding ``prw.cdf`` or ``baselines.cdf``, so that a wrapper set on that
+    binding sees every tail query; warm and capped calls make no call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for module in (prw, baselines):
+            def counting(params, k, name=module.__name__, inner=module.cdf):
+                counts[name] += 1
+                return inner(params, k)
+            monkeypatch.setattr(module, "cdf", counting)
+        return counts
+
+    def test_cold_prw_step(self, calls):
+        spec = TestSpec(n=100, alpha=0.1)
+        assert prw_pvalue(0.05, spec) == lower_tail_bound(100, 0.1, 5)
+        assert calls == {"prwtest.prw": 2}  # the step and lower_tail_bound itself
+        calls.clear()
+        prw_pvalue(0.03, TestSpec(n=100, alpha=0.1))
+        assert calls == {"prwtest.prw": 1}
+
+    def test_cold_bentkus_step(self, calls):
+        spec = TestSpec(n=100, alpha=0.1)
+        prw_pvalue(0.05, spec)  # builds the spec's law; Bentkus still queries cdf
+        calls.clear()
+        bentkus_pvalue(0.05, spec)
+        assert calls == {"prwtest.baselines": 1}
+
+    def test_cold_capped_call_queries_its_step_once(self, calls):
+        prw_pvalue(1.0, TestSpec(n=100, alpha=0.1))
+        assert calls == {"prwtest.prw": 1}
+
+    def test_warm_and_capped_calls_make_none(self, calls):
+        spec = TestSpec(n=100, alpha=0.1)
+        for rhat in (0.0, 0.05, 0.0899, 0.09, 0.5, 1.0):
+            prw_pvalue(rhat, spec)
+            bentkus_pvalue(rhat, spec)
+        calls.clear()
+        for rhat in (0.0, 0.049, 0.05, 0.0899, 0.09, 0.5, 0.4999, 1.0):
+            for clamp in (True, False):
+                prw_pvalue(rhat, spec, clamp=clamp)
+                bentkus_pvalue(rhat, spec, clamp=clamp)
+        assert calls == {}

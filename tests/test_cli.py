@@ -94,8 +94,9 @@ class TestLossCsv:
 
     def test_row_precise_error(self, tmp_path):
         for read, header, label in READERS:
-            path = write_losses(tmp_path, ["0.5", "1.5", "0.25"], header=header)
-            assert read_error(read, path) == f"{path}: row 2: {label} 1.5 outside [0, 1]"
+            for bad in ("1.5", "nan"):
+                path = write_losses(tmp_path, ["0.5", bad, "0.25"], header=header)
+                assert read_error(read, path) == f"{path}: row 2: {label} {bad} outside [0, 1]"
 
     def test_header_required(self, tmp_path):
         for read, header, _ in READERS:

@@ -51,8 +51,10 @@ class TestLossDistribution:
         assert d.mean == pytest.approx(0.65, abs=1e-15)
 
     def test_discrete_support_outside_unit(self):
-        with pytest.raises(ValueError):
-            LossDistribution.scaled_discrete((0.0, 1.5), (0.5, 0.5))
+        for support in ((0.0, 1.5), (0.0, math.nan)):
+            with pytest.raises(ValueError) as exc:
+                LossDistribution.scaled_discrete(support, (0.5, 0.5))
+            assert str(exc.value) == f"support must lie within [0, 1], got {support}"
 
     def test_discrete_probs_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from prwtest import prw
 from prwtest.prw import (
     GBoundContext,
     TestSpec,
@@ -130,6 +131,18 @@ class TestCeilScaled:
     def test_domain(self, t):
         with pytest.raises(ValueError):
             ceil_scaled(100, t)
+
+    @pytest.mark.parametrize("n, t", [(100, 1e-12), (100, 5e-324), (1, 1e-9), (10**6, 1e-16)])
+    def test_a_positive_product_never_snaps_to_zero(self, n, t):
+        # n*t lies within the snap slack of 0; snapping it there would give
+        # such a risk the p-value of rhat = 0
+        assert 0.0 < n * t <= prw.SNAP_RTOL
+        assert ceil_scaled(n, t) == 1
+        assert ceil_scaled(n, 0.0) == 0
+
+    @given(n=st.integers(1, 10**12), t=st.floats(0.0, 1e-6, allow_subnormal=True))
+    def test_snap_keeps_zero_only_for_a_zero_product(self, n, t):
+        assert (ceil_scaled(n, t) == 0) == (n * t == 0.0)
 
 
 class TestUpperTailBound:
@@ -253,6 +266,11 @@ class TestG:
         ctx = GBoundContext.from_mean(1, 0.5)
         assert ctx.gamma == 1 and ctx.t_max == 0.0
         assert g(0.0, ctx) == 1.0
+
+    def test_a_tiny_t_does_not_snap_onto_a_zero_boundary(self):
+        # n*t = 5e-324 ceils to 1, past the domain {0}, and does not snap onto it
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 0\.0\], got 5e-324$"):
+            g(5e-324, GBoundContext.from_mean(1, 0.5))
 
 
 @given(
@@ -400,6 +418,14 @@ class TestPrwPvalue:
     def test_unclamped_diagnostic(self):
         raw = prw_pvalue(0.09, self.SPEC, clamp=False)
         assert raw == pytest.approx(4.10674050552223, rel=REL)
+
+    def test_a_tiny_risk_reads_the_first_step_not_the_zero_snap(self):
+        # n*rhat = 1e-10 ceils to step 1; the step at 0 is (1 - alpha)**n
+        spec = TestSpec(n=100, alpha=0.1)
+        got = prw_pvalue(1e-12, spec)
+        assert got == prw_pvalue(0.01, spec) == lower_tail_bound(100, 0.1, 1)
+        assert got == pytest.approx(STEPS_N100_A01[1], rel=REL)
+        assert got > prw_pvalue(0.0, spec) == pytest.approx(0.9**100, rel=REL)
 
     @pytest.mark.parametrize("rhat", [-0.01, 1.01, float("nan")])
     def test_domain(self, rhat):
