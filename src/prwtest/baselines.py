@@ -61,11 +61,12 @@ def _kl_bernoulli(a: float, b: float) -> float:  # kl_bernoulli without its chec
     return max(0.0, left + right)
 
 
-def hoeffding_tight_pvalue(rhat: float, spec: TestSpec) -> float:
+def hoeffding_tight_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     """Tight Hoeffding p-value ``exp(-n * KL(min(rhat, alpha) || alpha))``.
 
     Evaluated at the raw empirical risk, not a grid ceiling, so the curve
-    varies smoothly in rhat and equals 1 for every rhat >= alpha.
+    varies smoothly in rhat and equals 1 for every rhat >= alpha.  ``clamp``
+    has no effect, as exp(-n * KL) <= 1: the three p-values share one call.
     """
     rhat = _check_closed_unit(rhat, "rhat")
     if rhat >= spec.alpha:

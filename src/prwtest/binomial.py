@@ -4,12 +4,12 @@ Every tail of one law ``Bin(n, p)`` is read from a single table built on
 first use: one correctly rounded anchor at the mode, the support on both
 sides filled by the term-ratio recurrence out to where the mass drops below
 the smallest subnormal double, and each tail accumulated from its far end
-inward, so values deep in a tail keep full relative precision instead of
-being lost to cancellation against 1.  The anchor comes from a tight
-enclosure of the exact rational term, so its cost barely grows with n.
-Tables live in a bounded LRU cache of ``_TABLE_CACHE_SIZE`` laws, so after
-the first query ``cdf`` and ``sf`` are lookups.  This module is the single
-special-function dependency of every bound in the package.
+inward and stored once, so values deep in a tail keep full relative
+precision instead of being lost to cancellation against 1.  The anchor comes
+from a tight enclosure of the exact rational term, so its cost barely grows
+with n.  Tables live in a bounded LRU cache of ``_TABLE_CACHE_SIZE`` laws,
+so after the first query ``cdf`` and ``sf`` are lookups.  This module is the
+single special-function dependency of every bound in the package.
 """
 
 from __future__ import annotations
@@ -144,9 +144,9 @@ class BinomialParams(Record):
 def cdf(params: BinomialParams, k: int) -> float:
     """P(Bin(n, p) <= k), saturating outside the support.
 
-    Out-of-range k is accepted for caller convenience: k < 0 returns 0 and
-    k >= n returns 1.  Interior values are looked up in the law's tail table
-    (see ``_tail_table``), built once per (n, p) and kept for the 64 most
+    k < 0 returns 0 and k >= n returns 1; other values are looked up in the
+    law's tail table (see ``_tail_table``), from the mode on as
+    1 - P(X >= k + 1), built once per (n, p) and kept for the 64 most
     recently used laws.  They hold 1e-12 relative error, which the tests
     check against exact rational sums at n = 1000 and 5000 for p = 0.1, 0.5
     and 0.9 (and at n = 10_000 for p = 0.5), and against 200-bit mpmath sums
@@ -163,18 +163,20 @@ def cdf(params: BinomialParams, k: int) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    lo, hi, lower, _ = _tail_table(n, p)
+    lo, m, hi, tails = _tail_table(n, p)
     if k < lo:
         return 0.0
-    return lower[k - lo] if k <= hi else 1.0
+    if k >= hi:
+        return 1.0
+    return tails[k - lo] if k < m else 1.0 - tails[k - lo]
 
 
 def sf(params: BinomialParams, t: int) -> float:
     """P(Bin(n, p) >= t), saturating outside the support.
 
     Read from the same table as ``cdf``, with the same accuracy and cache.
-    Above the mode the sum over [t, n] is accumulated directly rather than
-    taken as 1 - cdf(t - 1), so tiny survival probabilities keep their
+    Above the mode the sum over [t, n] is read as summed, and only up to the
+    mode taken as 1 - cdf(t - 1), so tiny survival probabilities keep their
     relative precision down to the smallest normal double.
     """
     t = operator.index(t)
@@ -187,10 +189,12 @@ def sf(params: BinomialParams, t: int) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    lo, hi, _, upper = _tail_table(n, p)
+    lo, m, hi, tails = _tail_table(n, p)
+    if t <= lo:
+        return 1.0
     if t > hi:
         return 0.0
-    return upper[t - lo] if t >= lo else 1.0
+    return tails[t - 1 - lo] if t > m else 1.0 - tails[t - 1 - lo]
 
 
 def _pmf_exact(n: int, p: float, j: int) -> float:
@@ -297,13 +301,16 @@ def _log_factorial(x: int) -> decimal.Decimal:
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _tail_table(n: int, p: float) -> tuple[int, int, array, array]:
-    """Tail table ``(lo, hi, lower, upper)`` of Bin(n, p) for 0 < p < 1.
+def _tail_table(n: int, p: float) -> tuple[int, int, int, array]:
+    """Tail table ``(lo, m, hi, tails)`` of Bin(n, p) for 0 < p < 1.
 
-    ``lower[i] = P(X <= lo + i)`` and ``upper[i] = P(X >= lo + i)`` over the
-    window [lo, hi] of terms at least 2**_CUT_EXP times the mode term; left
-    of it the lower tail is 0 and the upper tail 1, right of it the other
-    way round.  A plain tuple, because unpacking it is most of the cost of a
+    ``tails[k - lo]`` is P(X <= k) for lo <= k < m and P(X >= k + 1) for
+    m <= k < hi, m being the mode: each tail once, as summed from its far
+    end inward (see ``_inward_tails``).  The other side's tail is 1 minus
+    it, and it is at most about 1 - 1/e, so no relative precision is lost.
+    Terms outside [lo, hi] are below 2**_CUT_EXP times the mode term, so
+    P(X <= k) is 0 left of the window and 1 from hi on.  A plain tuple that
+    holds hi, not len(tails), because unpacking it is most of the cost of a
     warm query.
 
     One exact anchor at the mode m; every other term w_j = P(X = j)/P(X = m)
@@ -312,11 +319,6 @@ def _tail_table(n: int, p: float) -> tuple[int, int, array, array]:
     of 1 - p would bias every ratio the same way, so its effect is removed
     from each term (see ``_sweep``) instead of compounding over thousands of
     steps.
-
-    Each side's tail is accumulated from its far end inward (see
-    ``_inward_tails``).  From the mode on, a tail is the complement of the
-    other side's, which is at most about 1 - 1/e there, so the subtraction
-    keeps the relative precision.
     """
     m = min(n, math.floor((n + 1) * p))
     anchor = _anchor(n, p, m)
@@ -331,9 +333,7 @@ def _tail_table(n: int, p: float) -> tuple[int, int, array, array]:
         range(m, n), lambda j: (n - j) * p / ((j + 1) * q), -drift
     ))  # P(X >= t) for t = hi, ..., m + 1
     above.reverse()
-    lower = array("d", below + [1.0 - x for x in above] + [1.0])
-    upper = array("d", [1.0] + [1.0 - x for x in below] + above)
-    return m - len(below), m + len(above), lower, upper
+    return m - len(below), m, m + len(above), array("d", below + above)
 
 
 def _sweep(steps, ratio, drift):

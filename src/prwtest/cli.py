@@ -167,6 +167,8 @@ def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> tuple[float, .
             values.append(value)
     except csv.Error as exc:
         raise DataError(f"{path}: row {row_number + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:  # no row: the decoder reads ahead of the rows
+        raise DataError(f"{path}: {exc}") from None
     if not values:
         raise DataError(f"{path}: no {label} rows found")
     return tuple(values)
@@ -329,12 +331,8 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
     _check_closed_unit(rhat, "--rhat")
 
     methods = PVALUE_METHODS if args.method == "all" else (args.method,)
-    values: dict[str, float] = {}
-    for method in methods:
-        # exp(-n*KL) never exceeds 1, so tight Hoeffding has no raw form
-        unclamped = args.unclamped and method != "hoeffding-tight"
-        kwargs = {"clamp": False} if unclamped else {}
-        values[method.replace("-", "_")] = PVALUE_METHODS[method](rhat, spec, **kwargs)
+    clamp = not args.unclamped
+    values = {m.replace("-", "_"): PVALUE_METHODS[m](rhat, spec, clamp=clamp) for m in methods}
 
     digits = _resolve_digits(args.digits)
     row = [round_half_away(v, digits) for v in (rhat, *values.values())]

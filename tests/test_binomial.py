@@ -8,6 +8,7 @@ import decimal
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -385,3 +386,59 @@ def test_large_n_tails_match_mpmath(n, p):
     for k, (want_cdf, want_sf) in mpmath_tails(n, p, ks).items():
         assert abs(cdf(params, k) - want_cdf) <= REL * want_cdf, ("cdf", k)
         assert abs(sf(params, k) - want_sf) <= REL * want_sf, ("sf", k)
+
+
+def two_array_table(n, p):
+    """``(lo, hi, lower, upper)``: the table as two arrays, from the same helpers.
+
+    ``lower[i] = P(X <= lo + i)`` and ``upper[i] = P(X >= lo + i)`` over
+    [lo, hi], each complement taken while the table is built.  The one-array
+    table must read back these values bit for bit.
+    """
+    m = mode(n, p)
+    anchor = binomial._anchor(n, p, m)
+    q = 1.0 - p
+    drift = (-p - (q - 1.0)) / q
+    below = binomial._inward_tails(anchor, *binomial._sweep(
+        range(m, 0, -1), lambda j: j * q / ((n - j + 1) * p), drift
+    ))
+    above = binomial._inward_tails(anchor, *binomial._sweep(
+        range(m, n), lambda j: (n - j) * p / ((j + 1) * q), -drift
+    ))
+    above.reverse()
+    lower = below + [1.0 - x for x in above] + [1.0]
+    upper = [1.0] + [1.0 - x for x in below] + above
+    return m - len(below), m + len(above), lower, upper
+
+
+class TestTableLayout:
+    """One stored tail per cut of the window, read back as the two-array table reads."""
+
+    @given(n=st.integers(1, 3000), p=OPEN_UNIT)
+    @example(n=10, p=0.05)  # m = 0: every stored tail is an upper tail
+    @example(n=5, p=0.95)  # m = n: every stored tail is a lower tail
+    @example(n=1074, p=0.5)  # tails down to the smallest subnormal
+    @example(n=15, p=0.1)  # m = gamma - 1 at alpha = 0.1
+    def test_reads_equal_the_two_array_table(self, n, p):
+        lo, hi, lower, upper = two_array_table(n, p)
+        table_lo, m, table_hi, tails = _tail_table(n, p)
+        assert (table_lo, m, table_hi, len(tails)) == (lo, mode(n, p), hi, hi - lo)
+        params = BinomialParams(n, p)
+        for k in range(-1, n + 2):
+            want_cdf = 0.0 if k < max(lo, 0) else lower[k - lo] if k <= hi else 1.0
+            want_sf = 1.0 if k < max(lo, 1) else upper[k - lo] if k <= hi else 0.0
+            assert cdf(params, k).hex() == want_cdf.hex(), ("cdf", k)
+            assert sf(params, k).hex() == want_sf.hex(), ("sf", k)
+
+    def test_a_table_stores_one_double_per_window_entry(self):
+        n, p = 10**6, 0.1
+        lo, hi, _, _ = two_array_table(n, p)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = _tail_table.__wrapped__(n, p)  # a fresh build, outside the cache
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (table[0], table[2]) == (lo, hi)
+        assert retained <= 8 * (hi - lo) + 16_384

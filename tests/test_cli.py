@@ -1,5 +1,6 @@
 """CLI contract tests: golden table, flag handling, exit codes, JSON schema."""
 
+import contextlib
 import csv
 import json
 import math
@@ -190,8 +191,9 @@ def row_scan(path, header, label):
         return cli._scan_rows(fh, path, header, label)
 
 
-def through_pipe(data, *args):
-    """Outcome of ``_read_column`` on `data` written to a pipe, as `<(...)` passes it."""
+@contextlib.contextmanager
+def pipe_path(data):
+    """A `/dev/fd/N` path to a pipe that a thread fills with `data`, as `<(...)` passes it."""
     rfd, wfd = os.pipe()
 
     def feed():
@@ -204,12 +206,17 @@ def through_pipe(data, *args):
     feeder = threading.Thread(target=feed)
     feeder.start()
     try:
-        outcome = read_outcome(cli._read_column, f"/dev/fd/{rfd}", *args)
+        yield f"/dev/fd/{rfd}"
     finally:
         os.close(rfd)
         feeder.join(timeout=10)
     assert not feeder.is_alive()
-    return outcome
+
+
+def through_pipe(data, *args):
+    """Outcome of ``_read_column`` on `data` written to a pipe."""
+    with pipe_path(data) as path:
+        return read_outcome(cli._read_column, path, *args)
 
 
 # Batch sizes for the bulk pass: a few lines, one line or less, and the default
@@ -285,8 +292,26 @@ class TestBulkRead:
         path = tmp_path / "column.csv"
         path.write_bytes(data)
         outcome = read_outcome(cli._read_column, str(path), "loss", "loss")
-        assert outcome[0] is UnicodeDecodeError
+        assert outcome[0] is DataError
+        assert outcome[1].startswith("<path>: 'utf-8' codec can't decode byte 0xff")
         assert outcome == read_outcome(row_scan, str(path), "loss", "loss")
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("argv, header", [
+        (("pvalue", "--alpha", "0.1", "--losses", "{}"), b"loss"),
+        (("fwer", "{}", "--procedure", "bonferroni", "--delta", "0.05"), b"pvalue"),
+    ], ids=["pvalue", "fwer"])
+    def test_a_file_not_in_utf8_is_named_on_one_line(self, capsys, tmp_path, pipe, argv, header):
+        data = header + b"\n0.5\n\xff\n"
+        file = tmp_path / "column.csv"
+        file.write_bytes(data)
+        with pipe_path(data) if pipe else contextlib.nullcontext(str(file)) as path:
+            code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(data) - 2}: invalid start byte\n"
+        )
 
     @pytest.mark.parametrize("batch", [1, cli._BULK_BATCH_BYTES])
     @pytest.mark.parametrize("data", [
