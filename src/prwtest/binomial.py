@@ -125,7 +125,7 @@ class Record:
 
 
 class BinomialParams(Record):
-    """Trial count ``n`` and success probability ``p`` of a binomial law."""
+    """Trial count ``n`` and success probability ``p`` of a binomial law; a TestSpec keeps one."""
 
     __slots__ = _fields = ("n", "p")
 
@@ -133,12 +133,7 @@ class BinomialParams(Record):
         count = _check_positive_int(n, "n")
         if count > sys.maxsize:  # math.comb's limit, met by the exact fallback anchor
             raise ValueError(f"n must be at most {sys.maxsize}, got {n!r}")
-        prob = float(p)
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p!r}")
-        # set here, not through Record.__init__: a law is built for every tail query
-        object.__setattr__(self, "n", count)
-        object.__setattr__(self, "p", prob)
+        super().__init__(count, _check_closed_unit(p, "p"))
 
 
 def cdf(params: BinomialParams, k: int) -> float:

@@ -199,19 +199,14 @@ def round_half_away(value: float, digits: int) -> str:
 
 def _resolve_digits(value: Optional[int]) -> int:
     """Explicit --digits, else the env override, else 4; within [0, MAX_DIGITS]."""
-    if value is not None:
-        if not 0 <= value <= MAX_DIGITS:
-            raise DataError(f"--digits must lie in [0, {MAX_DIGITS}], got {value}")
-        return value
-    raw = os.environ.get(DIGITS_ENV_VAR)
-    if raw is None:
-        return 4
+    name, raw = ("--digits", value) if value is not None else (
+        DIGITS_ENV_VAR, os.environ.get(DIGITS_ENV_VAR, "4"))
     try:
         digits = int(raw)
     except ValueError:
-        raise DataError(f"{DIGITS_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise DataError(f"{name} must be an integer, got {raw!r}") from None
     if not 0 <= digits <= MAX_DIGITS:
-        raise DataError(f"{DIGITS_ENV_VAR} must lie in [0, {MAX_DIGITS}], got {raw!r}")
+        raise DataError(f"{name} must lie in [0, {MAX_DIGITS}], got {raw!r}")
     return digits
 
 

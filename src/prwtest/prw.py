@@ -56,11 +56,11 @@ class TestSpec(Record):
     the bound is only defined left of the binomial mean.  Filled on first use
     and not fields, so equality, hash and repr ignore them and a copy starts
     empty: ``g``'s and ``bentkus_pvalue``'s raw steps by snapped ceiling k,
-    the raw capped PRW value ``g(t_max)`` and the law Bin(n, alpha).
+    PRW's boundary step gamma - 1 among them, and the law Bin(n, alpha).
     """
 
     _fields = ("n", "alpha", "gamma", "t_max")
-    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps", "_capped", "_binomial")
+    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps", "_binomial")
 
     def __init__(self, n: int, alpha: float) -> None:
         n = _check_positive_int(n, "n")
@@ -69,7 +69,6 @@ class TestSpec(Record):
         super().__init__(n, alpha, gamma, (gamma - 1) / n)
         object.__setattr__(self, "_prw_steps", {})
         object.__setattr__(self, "_bentkus_steps", {})
-        object.__setattr__(self, "_capped", None)
         object.__setattr__(self, "_binomial", None)
 
     def __reduce__(self):  # gamma and t_max are derived; a copy starts with an empty memo
@@ -186,11 +185,11 @@ def g_inverse(delta: float, ctx: TestSpec) -> float:
 
     The bound is a left-continuous step function jumping only at the grid
     points {0, 1/n, ..., (gamma-1)/n}, and its values there are
-    non-decreasing, so a bisection over j in [0, gamma-2] is exact and needs
-    O(log gamma) evaluations of ``g``, lookups once the spec's steps are
-    known; no root finding is involved.  The boundary point (gamma-1)/n
-    never qualifies because its value is clamped to at least 1.  Satisfies
-    ``g(g_inverse(delta)) <= delta``.
+    non-decreasing, so a bisection over j in [0, gamma-2] is exact and reads
+    O(log gamma) of ``g``'s memoised steps by index; no root finding is
+    involved.  The boundary point (gamma-1)/n never qualifies because its
+    value is clamped to at least 1.  Satisfies ``g(g_inverse(delta)) <=
+    delta`` while n*(j/n) snaps to j, which holds up to n = 4.5e9.
 
     Raises
     ------
@@ -204,7 +203,7 @@ def g_inverse(delta: float, ctx: TestSpec) -> float:
             "the bound's domain holds only its boundary point, whose value is "
             "at least 1; no delta < 1 is attainable"
         )
-    count = bisect_right(range(ctx.gamma - 1), delta, key=lambda j: g(j / ctx.n, ctx))
+    count = bisect_right(range(ctx.gamma - 1), delta, key=lambda j: _g(j, True, ctx))
     if count == 0:
         raise ValueError(
             f"delta={delta} is below the smallest attainable bound value "
@@ -218,12 +217,12 @@ def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
 
     ``min(1, g(min(rhat, spec.t_max)))``.  ``clamp=False`` returns the raw
     bound value, which exceeds 1 in the capped region; useful for
-    diagnostics only.  An rhat >= t_max reads the spec's stored ``g(t_max)``,
-    filled by the first such call; any other rhat snaps once into ``g``'s memo.
+    diagnostics only.  A clamped rhat >= t_max is 1 by construction and reads
+    nothing; an unclamped one reads ``g(t_max)``, the boundary entry of
+    ``g``'s memo.  Any other rhat snaps once into that memo.
     """
     rhat = _check_closed_unit(rhat, "rhat")
-    value = spec._capped if rhat >= spec.t_max else _g(*_snapped_ceil(spec.n, rhat), spec)
-    if value is None:  # the spec's first capped call
-        value = g(spec.t_max, spec)
-        object.__setattr__(spec, "_capped", value)
+    if rhat >= spec.t_max:  # g is clamped below by 1 at its boundary
+        return 1.0 if clamp else g(spec.t_max, spec)
+    value = _g(*_snapped_ceil(spec.n, rhat), spec)
     return 1.0 if clamp and value > 1.0 else value

@@ -274,13 +274,10 @@ def edge_points(spec: TestSpec) -> list[float]:
 def assert_memo_matches_reference(spec: TestSpec, points) -> None:
     """Clamped and raw values, on the first and on a repeat call, equal the
     unmemoised references bit for bit.  The first pass alternates which of
-    the two calls fills an entry.  The stored capped PRW value is empty until
-    the first rhat >= t_max and then holds the reference's raw g(t_max)."""
-    capped = spec._capped
+    the two calls fills an entry.  A clamped PRW call at rhat >= t_max is 1.0
+    exactly, and PRW's memo holds only steps 0 to gamma - 1."""
     for repeat in (False, True):
         for i, rhat in enumerate(points):
-            if rhat >= spec.t_max:
-                capped = prw_reference(spec.t_max, spec)
             for fn, ref in ((prw_pvalue, prw_reference), (bentkus_pvalue, bentkus_reference)):
                 want = ref(rhat, spec)
                 calls = [(fn(rhat, spec), min(1.0, want)),
@@ -289,7 +286,9 @@ def assert_memo_matches_reference(spec: TestSpec, points) -> None:
                     calls.reverse()
                 for got, expected in calls:
                     assert got == expected, (fn.__name__, spec, rhat, repeat)
-            assert spec._capped == capped, (spec, rhat, repeat)
+            if rhat >= spec.t_max:
+                assert prw_pvalue(rhat, spec) == 1.0, (spec, rhat, repeat)
+    assert spec._prw_steps.keys() <= set(range(spec.gamma)), spec
 
 
 class TestStepMemo:
@@ -341,7 +340,8 @@ class TestStepMemo:
         # the same value when interior calls, one of them on step 7, come first
         fresh = TestSpec(n=100, alpha=0.075)
         assert_memo_matches_reference(fresh, [0.069, 0.0699, 0.05, 0.0700000001, 0.07])
-        assert fresh._capped == want
+        assert fresh._prw_steps[7] == lower_tail_bound(100, 0.075, 7)
+        assert (prw_pvalue(1.0, fresh, clamp=False), prw_pvalue(1.0, fresh)) == (want, 1.0)
 
     @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (2, 0.7), (1, 0.5)])
     def test_capped_value_filled_by_the_first_call(self, n, alpha):
@@ -350,17 +350,20 @@ class TestStepMemo:
 
     @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (2, 0.7), (1, 0.5)])
     def test_capped_value_filled_after_interior_calls(self, n, alpha):
-        # interior calls fill steps up to gamma - 1; the first capped call then
-        # reads step gamma - 1 from the memo and stores it, clamped below by 1
+        # interior calls fill steps up to gamma - 1; a capped call then reads
+        # step gamma - 1 from the memo only when unclamped, clamped below by 1
         spec = TestSpec(n=n, alpha=alpha)
         interior = [j / n for j in range(spec.gamma - 1)] + [math.nextafter(spec.t_max, 0.0)]
         assert_memo_matches_reference(spec, [r for r in interior if r < spec.t_max] + [1.0])
-        assert spec._capped == prw_reference(1.0, spec) >= 1.0
+        steps = dict(spec._prw_steps)
+        assert prw_pvalue(1.0, spec) == 1.0 and spec._prw_steps == steps
+        assert prw_pvalue(1.0, spec, clamp=False) == prw_reference(1.0, spec) >= 1.0
 
     def test_unclamped_first_call_stores_the_raw_value(self):
         spec = TestSpec(n=100, alpha=0.1)
         raw = prw_pvalue(0.5, spec, clamp=False)
-        assert raw == spec._capped == lower_tail_bound(100, 0.1, 9) > 1.0
+        assert raw == spec._prw_steps[9] == lower_tail_bound(100, 0.1, 9) > 1.0
+        assert spec._prw_steps.keys() == {9}
         assert (prw_pvalue(0.5, spec), prw_pvalue(0.09, spec, clamp=False)) == (1.0, raw)
 
     @pytest.mark.parametrize("clone", [
@@ -373,8 +376,7 @@ class TestStepMemo:
                 for r in points for c in (True, False)]
         spec = clone(warm)
         assert spec == warm
-        assert (spec._prw_steps, spec._bentkus_steps, spec._capped, spec._binomial) == (
-            {}, {}, None, None)
+        assert (spec._prw_steps, spec._bentkus_steps, spec._binomial) == ({}, {}, None)
         got = [(prw_pvalue(r, spec, clamp=c), bentkus_pvalue(r, spec, clamp=c))
                for r in points for c in (True, False)]
         assert got == want
@@ -401,7 +403,7 @@ class TestStepMemo:
 class TestCdfBindings:
     """A cold PRW or Bentkus step calls ``cdf`` once, through the module
     binding ``prw.cdf`` or ``baselines.cdf``, so that a wrapper set on that
-    binding sees every tail query; warm and capped calls make no call."""
+    binding sees every tail query; warm and clamped capped calls make no call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -429,7 +431,15 @@ class TestCdfBindings:
         assert calls == {"prwtest.baselines": 1}
 
     def test_cold_capped_call_queries_its_step_once(self, calls):
-        prw_pvalue(1.0, TestSpec(n=100, alpha=0.1))
+        # clamped, a capped call is 1 by construction; unclamped, it reads the
+        # boundary step g(t_max), cold once
+        want = lower_tail_bound(100, 0.1, 9)
+        calls.clear()
+        spec = TestSpec(n=100, alpha=0.1)
+        assert (prw_pvalue(1.0, spec), prw_pvalue(spec.t_max, spec)) == (1.0, 1.0)
+        assert calls == {}
+        for rhat in (1.0, spec.t_max, 0.5):
+            assert prw_pvalue(rhat, spec, clamp=False) == want
         assert calls == {"prwtest.prw": 1}
 
     def test_warm_and_capped_calls_make_none(self, calls):

@@ -385,17 +385,51 @@ def g_inverse_or_error(delta, spec):
 
 
 @given(
+    n=st.integers(2, 3000),
+    alpha=st.floats(0.001, 0.999, allow_nan=False),
+    delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    step=st.none() | st.integers(0, 3000),
+)
+def test_g_inverse_reads_steps_by_index_and_equals_the_scan(n, alpha, delta, step):
+    # the bisection reads step j of g's memo directly: no t = j/n goes
+    # through g or the snap.  A drawn step puts delta on a step value, where
+    # ties must count as qualifying
+    spec = TestSpec(n, alpha)
+    assume(spec.gamma >= 2)
+    if step is not None:
+        delta = lower_tail_bound(n, alpha, step % (spec.gamma - 1))
+        assume(0.0 < delta < 1.0)
+    try:
+        want = g_inverse_by_scan(delta, spec)
+    except ValueError:
+        want = None
+
+    def forbidden(*args):
+        raise AssertionError("g_inverse went through g or _snapped_ceil")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prw, "g", forbidden)
+        mp.setattr(prw, "_snapped_ceil", forbidden)
+        got = g_inverse_or_error(delta, spec)
+    if want is None:
+        assert "below the smallest attainable" in got
+    else:
+        assert got == want, (n, alpha, delta)
+
+
+@given(
     n=st.integers(1, 300),
     alpha=st.floats(0.001, 0.999, allow_nan=False),
     delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
 def test_g_inverse_on_filled_steps_equals_a_fresh_spec(n, alpha, delta):
-    # g's per-spec memo holds every step once prw_pvalue has visited the
-    # whole grid, so the warm bisection reads only stored values
+    # g's per-spec memo holds every step left of the boundary once prw_pvalue
+    # has visited the whole grid (a clamped capped call reads no step), so
+    # the warm bisection reads only stored values
     warm = TestSpec(n, alpha)
     for j in range(n + 1):
         prw_pvalue(j / n, warm)
-    assert len(warm._prw_steps) == warm.gamma
+    assert warm._prw_steps.keys() == set(range(warm.gamma - 1))
     assert g_inverse_or_error(delta, warm) == g_inverse_or_error(delta, TestSpec(n, alpha))
 
 
