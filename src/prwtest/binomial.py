@@ -139,14 +139,14 @@ class BinomialParams(Record):
 def cdf(params: BinomialParams, k: int) -> float:
     """P(Bin(n, p) <= k), saturating outside the support.
 
-    k < 0 returns 0 and k >= n returns 1; other values are looked up in the
-    law's tail table (see ``_tail_table``), from the mode on as
-    1 - P(X >= k + 1), built once per (n, p) and kept for the 64 most
-    recently used laws.  They hold 1e-12 relative error, which the tests
-    check against exact rational sums at n = 1000 and 5000 for p = 0.1, 0.5
-    and 0.9 (and at n = 10_000 for p = 0.5), and against 200-bit mpmath sums
-    within 30 standard deviations of the mean at n = 1e5 and 1e6 for p = 0.1
-    and 0.5.  A tail below the smallest subnormal double is 0.0.
+    k < 0 returns 0 and k >= n returns 1; other k read the law's tail table
+    (see ``_tail_table``), from the mode on as 1 - P(X >= k + 1), built once
+    per (n, p), kept for the 64 most recently used laws, and empty at p = 0
+    or 1.  Values hold 1e-12 relative error, which the tests check against
+    exact rational sums at n = 1000 and 5000 for p = 0.1, 0.5 and 0.9 (and
+    at n = 10_000 for p = 0.5), and against 200-bit mpmath sums within 30
+    standard deviations of the mean at n = 1e5 and 1e6 for p = 0.1 and 0.5.
+    A tail below the smallest subnormal double is 0.0.
     """
     k = operator.index(k)
     n, p = params.n, params.p
@@ -154,10 +154,6 @@ def cdf(params: BinomialParams, k: int) -> float:
         return 0.0
     if k >= n:
         return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
     lo, m, hi, tails = _tail_table(n, p)
     if k < lo:
         return 0.0
@@ -169,10 +165,10 @@ def cdf(params: BinomialParams, k: int) -> float:
 def sf(params: BinomialParams, t: int) -> float:
     """P(Bin(n, p) >= t), saturating outside the support.
 
-    Read from the same table as ``cdf``, with the same accuracy and cache.
-    Above the mode the sum over [t, n] is read as summed, and only up to the
-    mode taken as 1 - cdf(t - 1), so tiny survival probabilities keep their
-    relative precision down to the smallest normal double.
+    Read from ``cdf``'s table, with its accuracy, cache and step at p = 0
+    or 1.  Above the mode the sum over [t, n] is read as summed, and only
+    up to the mode taken as 1 - cdf(t - 1), so tiny survival probabilities
+    keep their relative precision down to the smallest normal double.
     """
     t = operator.index(t)
     n, p = params.n, params.p
@@ -180,10 +176,6 @@ def sf(params: BinomialParams, t: int) -> float:
         return 1.0
     if t > n:
         return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
     lo, m, hi, tails = _tail_table(n, p)
     if t <= lo:
         return 1.0
@@ -297,16 +289,16 @@ def _log_factorial(x: int) -> decimal.Decimal:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _tail_table(n: int, p: float) -> tuple[int, int, int, array]:
-    """Tail table ``(lo, m, hi, tails)`` of Bin(n, p) for 0 < p < 1.
+    """Tail table ``(lo, m, hi, tails)`` of Bin(n, p) for 0 <= p <= 1.
 
     ``tails[k - lo]`` is P(X <= k) for lo <= k < m and P(X >= k + 1) for
     m <= k < hi, m being the mode: each tail once, as summed from its far
     end inward (see ``_inward_tails``).  The other side's tail is 1 minus
     it, and it is at most about 1 - 1/e, so no relative precision is lost.
-    Terms outside [lo, hi] are below 2**_CUT_EXP times the mode term, so
-    P(X <= k) is 0 left of the window and 1 from hi on.  A plain tuple that
-    holds hi, not len(tails), because unpacking it is most of the cost of a
-    warm query.
+    Terms outside [lo, hi] are below 2**_CUT_EXP times the mode term (at
+    p = 0 or 1 all but the mode, so lo = m = hi), so P(X <= k) is 0 left of
+    the window and 1 from hi on.  A plain tuple that holds hi, not
+    len(tails), because unpacking it is most of the cost of a warm query.
 
     One exact anchor at the mode m; every other term w_j = P(X = j)/P(X = m)
     comes from the term-ratio recurrence, carried as a mantissa and a power
@@ -316,6 +308,8 @@ def _tail_table(n: int, p: float) -> tuple[int, int, int, array]:
     steps.
     """
     m = min(n, math.floor((n + 1) * p))
+    if p == 0.0 or p == 1.0:
+        return m, m, m, array("d")
     anchor = _anchor(n, p, m)
     q = 1.0 - p
     # 1 - p == q * (1 + drift) with |drift| < 2**-53; the ratios below use q,

@@ -55,28 +55,26 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
 
     UTF-8 (BOM tolerated), LF or CRLF line endings.  Any malformed or
     out-of-range value raises DataError naming the offending data row.
-    The file is opened once.  A plain file is parsed in one bulk pass; every
-    other file, and every error, goes through the csv row scan, which gives
-    the same values.  The scan rereads a seekable file from its start, and
-    a pipe from the bytes the bulk pass kept of it.
+    The file is opened once, and a pipe is read whole into memory first, so
+    that both take one path.  A plain file is parsed in one bulk pass; every
+    other file, and every error, goes through the csv row scan, which
+    rereads the file from its start and gives the same values.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        kept: Optional[list[bytes]] = None if fh.seekable() else []
-        values = _read_plain_column(fh, header, kept)
+        if not fh.seekable():  # a pipe: kept whole, so the row scan can reread it
+            fh = io.BufferedReader(io.BytesIO(fh.read()))
+        values = _read_plain_column(fh, header)
         if values is not None:
             return values
-        if kept is None:
-            # A fresh buffer over the rewound file, so the text layer reads
-            # it in the same chunks, and reports a decode error at the same
-            # position, as over a file it opened itself
-            fh.raw.seek(0)
-            source = io.BufferedReader(fh.raw)
-        else:
-            source = io.BytesIO(b"".join(kept) + fh.read())
+        # A fresh buffer over the rewound file, so the text layer reads it in
+        # the same chunks, and reports a decode error at the same position,
+        # as over a file it opened itself
+        fh.raw.seek(0)
+        source = io.BufferedReader(fh.raw)
         with io.TextIOWrapper(source, encoding="utf-8-sig", newline="") as text:
             return _scan_rows(text, path, header, label)
 
@@ -86,15 +84,13 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
 _BULK_BATCH_BYTES = 1 << 18
 
 
-def _read_plain_column(
-    fh: BinaryIO, header: str, kept: Optional[list[bytes]]
-) -> Optional[tuple[float, ...]]:
+def _read_plain_column(fh: BinaryIO, header: str) -> Optional[tuple[float, ...]]:
     """The column's values in one bulk pass, or None to leave the file to the row scan.
 
-    Reads ``fh`` in batches of whole lines and, when ``kept`` is a list,
-    appends each batch's bytes to it.  Only a file with no lone CR, no line
-    at the csv field limit, the header on its first line and one in-range
-    number or nothing but ASCII whitespace on every other line qualifies.
+    Reads ``fh`` in batches of whole lines, holding one batch at a time
+    besides the values.  Only a file with no lone CR, no line at the csv
+    field limit, the header on its first line and one in-range number or
+    nothing but ASCII whitespace on every other line qualifies.
     float() rejects quotes, commas and every non-ASCII byte, so each line it
     takes decodes to itself and is one unquoted csv field, and it strips
     the same whitespace as the row scan's str.strip().  The row scan skips
@@ -106,8 +102,6 @@ def _read_plain_column(
     at_header = True
     while lines := fh.readlines(_BULK_BATCH_BYTES):
         chunk = b"".join(lines)
-        if kept is not None:
-            kept.append(chunk)
         if chunk.count(b"\r") != chunk.count(b"\r\n"):  # the row scan splits at a lone CR
             return None
         if len(chunk) >= limit and max(map(len, lines)) >= limit:

@@ -9,6 +9,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +129,19 @@ def test_cdf_sf_complement(n, p, data):
     k = data.draw(st.integers(0, n - 1))
     params = BinomialParams(n, p)
     assert cdf(params, k) + sf(params, k + 1) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.0, 1.0])
+@pytest.mark.parametrize("n", [1, 5, 1000])
+def test_degenerate_law_is_a_step_at_its_point(n, p):
+    # all the mass at m = 0 or n: an empty table, cdf [k >= m] and sf its complement
+    m = 0 if p == 0.0 else n
+    assert _tail_table(n, p) == (m, m, m, array("d"))
+    params = BinomialParams(n, p)
+    for k in range(-1, n + 2):
+        assert cdf(params, k).hex() == float(k >= m).hex(), ("cdf", k)
+    for t in range(-1, n + 3):
+        assert sf(params, t).hex() == float(t <= m).hex(), ("sf", t)
 
 
 @given(n=st.integers(1, 300), p=st.floats(1e-9, 1 - 1e-9, allow_nan=False))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
@@ -239,13 +240,35 @@ class TestBulkRead:
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=column_files(), batch=BATCH_BYTES)
     def test_pipe_matches_a_regular_file(self, tmp_path, monkeypatch, data, batch):
-        # a pipe cannot be read twice, so the row scan reads what the bulk pass kept
+        # a pipe is read whole first, so the row scan rereads it as it would a file
         monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", batch)
         path = tmp_path / "column.csv"
         path.write_bytes(data)
         assert through_pipe(data, "loss", "loss") == (
             read_outcome(row_scan, str(path), "loss", "loss")
         )
+
+    def test_a_pipe_is_held_once_and_a_file_never_whole(self, tmp_path):
+        # about 4 MB of padded rows whose last row is quoted, so the bulk pass
+        # reads them all before it declines and the row scan reads them again
+        rows = "".join(f"{i / 20_000!r}{' ' * 200}\n" for i in range(20_000))
+        data = f'loss\n{rows}"0.5"\n'.encode()
+        path = tmp_path / "padded.csv"
+        path.write_bytes(data)
+
+        def peak(source):
+            tracemalloc.start()
+            try:
+                values = cli._read_column(source, "loss", "loss")
+                return values, tracemalloc.get_traced_memory()[1] / len(data)
+            finally:
+                tracemalloc.stop()
+
+        values, file_peak = peak(str(path))
+        assert len(values) == 20_001 and file_peak <= 0.6
+        with pipe_path(data) as source:
+            pipe_values, pipe_peak = peak(source)
+        assert pipe_values == values and pipe_peak <= 1.75
 
     def test_a_field_limit_lowered_in_process_holds(self, capsys, tmp_path):
         path = write_losses(tmp_path, ["0.5", "0." + "0" * 118])  # a 120-byte line
