@@ -1,15 +1,18 @@
 """Numerically stable exact binomial tail probabilities.
 
-Every tail of one law ``Bin(n, p)`` is read from a single table built on
-first use: one correctly rounded anchor at the mode, the support on both
-sides filled by the term-ratio recurrence out to where the mass drops below
-the smallest subnormal double, and each tail accumulated from its far end
+Every tail of one law ``Bin(n, p)`` is read from a single table with one
+correctly rounded anchor at the mode.  Each side of the mode is a half of
+the table, built the first time a query reads it: the term-ratio recurrence
+fills that side of the support out to where the mass drops below the
+smallest subnormal double, and each tail is accumulated from its far end
 inward and stored once, so values deep in a tail keep full relative
-precision instead of being lost to cancellation against 1.  The anchor comes
-from a tight enclosure of the exact rational term, so its cost barely grows
-with n.  Tables live in a bounded LRU cache of ``_TABLE_CACHE_SIZE`` laws,
-so after the first query ``cdf`` and ``sf`` are lookups.  This module is the
-single special-function dependency of every bound in the package.
+precision instead of being lost to cancellation against 1.  A query below
+the mode, which every PRW p-value is, never builds the half above it.  The
+anchor comes from a tight enclosure of the exact rational term, so its cost
+barely grows with n.  Tables live in a bounded LRU cache of
+``_TABLE_CACHE_SIZE`` laws, so once a half is built ``cdf`` and ``sf`` read
+it as lookups.  This module is the single special-function dependency of
+every bound in the package.
 """
 
 from __future__ import annotations
@@ -18,12 +21,15 @@ import math
 import operator
 import sys
 from array import array
+from bisect import bisect_left
 from functools import lru_cache
 
 __all__ = ["BinomialParams", "cdf", "sf"]
 
 # Distinct (n, p) laws whose tail tables are kept.
 _TABLE_CACHE_SIZE = 64
+# Positions of the two halves in a table (see ``_tail_table``).
+_BELOW, _ABOVE = 1, 2
 
 # Terms are carried as mantissa * 2**exponent relative to the mode term; a
 # mantissa that drops below _RESCALE is renormalised with frexp.  Terms below
@@ -139,12 +145,14 @@ class BinomialParams(Record):
 def cdf(params: BinomialParams, k: int) -> float:
     """P(Bin(n, p) <= k), saturating outside the support.
 
-    k < 0 returns 0 and k >= n returns 1; other k read the law's tail table
-    (see ``_tail_table``), from the mode on as 1 - P(X >= k + 1), built once
-    per (n, p), kept for the 64 most recently used laws, and empty at p = 0
-    or 1.  Values hold 1e-12 relative error, which the tests check against
-    exact rational sums at n = 1000 and 5000 for p = 0.1, 0.5 and 0.9 (and
-    at n = 10_000 for p = 0.5), and against 200-bit mpmath sums within 30
+    k < 0 returns 0 and k >= n returns 1.  Other k read the law's tail table
+    (see ``_tail_table``): below the mode its lower tail as summed, from the
+    mode on 1 - P(X >= k + 1).  The half a query reads is built on its first
+    read, so a query below the mode never builds the half above it.  Tables
+    are kept for the 64 most recently used laws and are empty at p = 0 or 1.
+    Values hold 1e-12 relative error, which the tests check against exact
+    rational sums at n = 1000 and 5000 for p = 0.1, 0.5 and 0.9 (and at
+    n = 10_000 for p = 0.5), and against 200-bit mpmath sums within 30
     standard deviations of the mean at n = 1e5 and 1e6 for p = 0.1 and 0.5.
     A tail below the smallest subnormal double is 0.0.
     """
@@ -154,21 +162,23 @@ def cdf(params: BinomialParams, k: int) -> float:
         return 0.0
     if k >= n:
         return 1.0
-    lo, m, hi, tails = _tail_table(n, p)
-    if k < lo:
-        return 0.0
-    if k >= hi:
-        return 1.0
-    return tails[k - lo] if k < m else 1.0 - tails[k - lo]
+    table = _tail_table(n, p)
+    m, below, above, _ = table
+    if k < m:
+        lo, tails = below or _half(table, n, p, _BELOW)
+        return tails[k - lo] if k >= lo else 0.0
+    hi, tails = above or _half(table, n, p, _ABOVE)
+    return 1.0 - tails[hi - 1 - k] if k < hi else 1.0
 
 
 def sf(params: BinomialParams, t: int) -> float:
     """P(Bin(n, p) >= t), saturating outside the support.
 
     Read from ``cdf``'s table, with its accuracy, cache and step at p = 0
-    or 1.  Above the mode the sum over [t, n] is read as summed, and only
-    up to the mode taken as 1 - cdf(t - 1), so tiny survival probabilities
-    keep their relative precision down to the smallest normal double.
+    or 1.  Above the mode the sum over [t, n] is read as summed from the
+    half above the mode, and only up to the mode taken as 1 - cdf(t - 1)
+    from the half below it, so tiny survival probabilities keep their
+    relative precision down to the smallest normal double.
     """
     t = operator.index(t)
     n, p = params.n, params.p
@@ -176,12 +186,27 @@ def sf(params: BinomialParams, t: int) -> float:
         return 1.0
     if t > n:
         return 0.0
-    lo, m, hi, tails = _tail_table(n, p)
-    if t <= lo:
-        return 1.0
-    if t > hi:
-        return 0.0
-    return tails[t - 1 - lo] if t > m else 1.0 - tails[t - 1 - lo]
+    table = _tail_table(n, p)
+    m, below, above, _ = table
+    if t > m:
+        hi, tails = above or _half(table, n, p, _ABOVE)
+        return tails[hi - t] if t <= hi else 0.0
+    lo, tails = below or _half(table, n, p, _BELOW)
+    return 1.0 - tails[t - 1 - lo] if t > lo else 1.0
+
+
+def _first_cdf(n: int, p: float, reached) -> int:
+    """Smallest k with ``reached(P(Bin(n, p) <= k))`` for a valid law and a test
+    false at 0.0, true at 1.0 and monotone between.  Bisects the half below the mode,
+    and the half above it only when no k below qualifies; makes no ``cdf`` call."""
+    table = _tail_table(n, p)
+    lo, tails = table[_BELOW] or _half(table, n, p, _BELOW)
+    k = lo + bisect_left(tails, True, key=reached)
+    if k < table[0]:
+        return k
+    hi, tails = table[_ABOVE] or _half(table, n, p, _ABOVE)
+    # tails[i] = P(X >= hi - i): cdf(hi - 1 - i) falls as i grows
+    return hi - bisect_left(tails, True, key=lambda x: not reached(1.0 - x))
 
 
 def _pmf_exact(n: int, p: float, j: int) -> float:
@@ -288,41 +313,61 @@ def _log_factorial(x: int) -> decimal.Decimal:
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _tail_table(n: int, p: float) -> tuple[int, int, int, array]:
-    """Tail table ``(lo, m, hi, tails)`` of Bin(n, p) for 0 <= p <= 1.
+def _tail_table(n: int, p: float) -> list:
+    """Tail table ``[m, below, above, anchor]`` of Bin(n, p) for 0 <= p <= 1.
 
-    ``tails[k - lo]`` is P(X <= k) for lo <= k < m and P(X >= k + 1) for
-    m <= k < hi, m being the mode: each tail once, as summed from its far
-    end inward (see ``_inward_tails``).  The other side's tail is 1 minus
-    it, and it is at most about 1 - 1/e, so no relative precision is lost.
-    Terms outside [lo, hi] are below 2**_CUT_EXP times the mode term (at
-    p = 0 or 1 all but the mode, so lo = m = hi), so P(X <= k) is 0 left of
-    the window and 1 from hi on.  A plain tuple that holds hi, not
-    len(tails), because unpacking it is most of the cost of a warm query.
-
-    One exact anchor at the mode m; every other term w_j = P(X = j)/P(X = m)
-    comes from the term-ratio recurrence, carried as a mantissa and a power
-    of two so deep-tail terms keep their relative precision.  The rounding
-    of 1 - p would bias every ratio the same way, so its effect is removed
-    from each term (see ``_sweep``) instead of compounding over thousands of
-    steps.
+    m is the mode.  ``below`` is ``(lo, tails)`` with ``tails[k - lo]`` =
+    P(X <= k) for lo <= k < m, and ``above`` is ``(hi, tails)`` with
+    ``tails[hi - t]`` = P(X >= t) for m < t <= hi: each tail once, far end
+    first, as summed from that end inward (see ``_inward_tails``).  The other
+    side's tail is 1 minus it, and it is at most about 1 - 1/e, so no
+    relative precision is lost.  Terms outside [lo, hi] are below
+    2**_CUT_EXP times the mode term (at p = 0 or 1 all but the mode, so
+    lo = m = hi and both halves are empty), so P(X <= k) is 0 left of the
+    window and 1 from hi on.  A half is None until ``_half`` builds it for
+    the first read that needs it; ``anchor``, P(X = m), is None until the
+    first half is built, and then shared by both.  A list, so that the
+    cached table fills in place; each half holds its far edge, not its
+    length, because unpacking is most of the cost of a warm query.
     """
     m = min(n, math.floor((n + 1) * p))
     if p == 0.0 or p == 1.0:
-        return m, m, m, array("d")
-    anchor = _anchor(n, p, m)
+        empty = m, array("d")
+        return [m, empty, empty, None]
+    return [m, None, None, None]
+
+
+def _half(table: list, n: int, p: float, side: int) -> tuple[int, array]:
+    """Build one half of a ``_tail_table``, store it at ``table[side]`` and return it.
+
+    One exact anchor at the mode m, shared by both halves; every other term
+    w_j = P(X = j)/P(X = m) comes from the term-ratio recurrence, carried as
+    a mantissa and a power of two so deep-tail terms keep their relative
+    precision.  The rounding of 1 - p would bias every ratio the same way,
+    so its effect is removed from each term (see ``_sweep``) instead of
+    compounding over thousands of steps.  Threads that race on one half
+    build it from the same anchor with the same operations, so whichever
+    copy is stored holds the same values.
+    """
+    m, anchor = table[0], table[3]
+    if anchor is None:
+        anchor = table[3] = _anchor(n, p, m)
     q = 1.0 - p
     # 1 - p == q * (1 + drift) with |drift| < 2**-53; the ratios below use q,
     # so each term is off by (1 + drift)**(steps from the mode).
     drift = (-p - (q - 1.0)) / q
-    below = _inward_tails(anchor, *_sweep(
-        range(m, 0, -1), lambda j: j * q / ((n - j + 1) * p), drift
-    ))  # P(X <= k) for k = lo, ..., m - 1
-    above = _inward_tails(anchor, *_sweep(
-        range(m, n), lambda j: (n - j) * p / ((j + 1) * q), -drift
-    ))  # P(X >= t) for t = hi, ..., m + 1
-    above.reverse()
-    return m - len(below), m, m + len(above), array("d", below + above)
+    if side == _BELOW:  # P(X <= k) for k = lo, ..., m - 1
+        tails = _inward_tails(anchor, *_sweep(
+            range(m, 0, -1), lambda j: j * q / ((n - j + 1) * p), drift
+        ))
+        edge = m - len(tails)
+    else:  # P(X >= t) for t = hi, ..., m + 1
+        tails = _inward_tails(anchor, *_sweep(
+            range(m, n), lambda j: (n - j) * p / ((j + 1) * q), -drift
+        ))
+        edge = m + len(tails)
+    table[side] = half = edge, array("d", tails)
+    return half
 
 
 def _sweep(steps, ratio, drift):

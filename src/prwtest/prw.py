@@ -56,11 +56,12 @@ class TestSpec(Record):
     the bound is only defined left of the binomial mean.  Filled on first use
     and not fields, so equality, hash and repr ignore them and a copy starts
     empty: ``g``'s and ``bentkus_pvalue``'s raw steps by snapped ceiling k,
-    PRW's boundary step gamma - 1 among them, and the law Bin(n, alpha).
+    PRW's boundary step gamma - 1 among them, the law Bin(n, alpha), and
+    Bentkus's cap, the first k from which every clamped step is 1.
     """
 
     _fields = ("n", "alpha", "gamma", "t_max")
-    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps", "_binomial")
+    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps", "_binomial", "_bentkus_cap")
 
     def __init__(self, n: int, alpha: float) -> None:
         n = _check_positive_int(n, "n")
@@ -70,6 +71,7 @@ class TestSpec(Record):
         object.__setattr__(self, "_prw_steps", {})
         object.__setattr__(self, "_bentkus_steps", {})
         object.__setattr__(self, "_binomial", None)
+        object.__setattr__(self, "_bentkus_cap", None)
 
     def __reduce__(self):  # gamma and t_max are derived; a copy starts with an empty memo
         return type(self), (self.n, self.alpha)

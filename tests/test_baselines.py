@@ -3,11 +3,13 @@
 import copy
 import math
 import pickle
+import sys
+import threading
 from collections import Counter
 from decimal import Decimal, ROUND_HALF_UP
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prwtest.baselines import (
@@ -17,8 +19,8 @@ from prwtest.baselines import (
     hoeffding_tight_pvalue,
     kl_bernoulli,
 )
-from prwtest.binomial import BinomialParams, cdf
-from prwtest import baselines, prw
+from prwtest.binomial import BinomialParams, cdf, sf
+from prwtest import baselines, binomial, prw
 from prwtest.prw import TestSpec, ceil_scaled, lower_tail_bound, prw_pvalue
 
 REL = 1e-12
@@ -443,13 +445,103 @@ class TestCdfBindings:
         assert calls == {"prwtest.prw": 1}
 
     def test_warm_and_capped_calls_make_none(self, calls):
+        # a clamped Bentkus call at or past the cap fills no memo entry, so
+        # the warm-up makes unclamped calls too
         spec = TestSpec(n=100, alpha=0.1)
         for rhat in (0.0, 0.05, 0.0899, 0.09, 0.5, 1.0):
-            prw_pvalue(rhat, spec)
-            bentkus_pvalue(rhat, spec)
+            for clamp in (True, False):
+                prw_pvalue(rhat, spec, clamp=clamp)
+                bentkus_pvalue(rhat, spec, clamp=clamp)
         calls.clear()
         for rhat in (0.0, 0.049, 0.05, 0.0899, 0.09, 0.5, 0.4999, 1.0):
             for clamp in (True, False):
                 prw_pvalue(rhat, spec, clamp=clamp)
                 bentkus_pvalue(rhat, spec, clamp=clamp)
         assert calls == {}
+
+    def test_clamped_calls_at_or_past_the_cap_make_none(self, calls):
+        # at (100, 0.1) the cap is 9: e * cdf(8) < 1 <= e * cdf(9)
+        spec = TestSpec(n=100, alpha=0.1)
+        for rhat in (0.09, 0.0899, 0.5, 1.0):
+            assert bentkus_pvalue(rhat, spec) == 1.0
+        assert (calls, spec._bentkus_steps, spec._bentkus_cap) == ({}, {}, 9)
+        assert bentkus_pvalue(0.08, spec) == math.e * cdf(BinomialParams(100, 0.1), 8) < 1.0
+        assert calls == {"prwtest.baselines": 1}
+
+
+class TestBentkusCap:
+    """The law's cap is the first k with e * cdf(k) >= 1, so a clamped Bentkus
+    step from it on is 1 and every other step is its raw value."""
+
+    @given(n=st.integers(1, 20_000), alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(n=1, alpha=0.5)  # the cap, 0, lies below the mode, 1
+    @example(n=10, alpha=0.05)  # m = 0: the cap comes from the half above the mode
+    @example(n=15, alpha=0.1)  # e * cdf(m - 1) < 1: the cap is the mode, 1
+    def test_cap_is_the_first_step_at_one(self, n, alpha):
+        law = BinomialParams(n, alpha)
+        cap = baselines._bentkus_cap(n, alpha)
+        raw = [math.e * cdf(law, k) for k in range(n + 1)]
+        assert all(x < 1.0 for x in raw[:cap]) and all(x >= 1.0 for x in raw[cap:])
+        for k in (cap - 1, cap, cap + 1):
+            if 0 <= k <= n:
+                for clamp in (True, False):
+                    want = min(1.0, raw[k]) if clamp else raw[k]
+                    got = bentkus_pvalue(k / n, TestSpec(n, alpha), clamp=clamp)
+                    assert got.hex() == want.hex(), (k, clamp)
+
+
+def test_threads_on_one_cold_law_read_the_single_threaded_values():
+    # The tables, the Bentkus cap and the step memos fill lazily in shared
+    # state.  Four threads start on one cold law and spec, each on another
+    # kind of query, so that several of them may build one half or fill one
+    # entry at once; every value, and every half stored, must equal a
+    # single-threaded run.
+    def queries(n):  # cdf up from below the mode, sf down from above it, PRW, Bentkus
+        ks = range(-1, n + 2)
+        return ([(cdf, k, None) for k in ks] + [(sf, k, None) for k in reversed(ks)]
+                + [(f, j / n, clamp) for f in (prw_pvalue, bentkus_pvalue)
+                   for j in range(n + 1) for clamp in (True, False)])
+
+    def run(batch, law, spec):
+        return [f(law, x) if clamp is None else f(x, spec, clamp=clamp) for f, x, clamp in batch]
+
+    def clear():
+        binomial._tail_table.cache_clear()
+        baselines._bentkus_cap.cache_clear()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n, alpha in ((2000, 0.137), (15, 0.1), (10, 0.05), (5000, 0.1)):
+            batch = queries(n)
+            clear()
+            want = run(batch, BinomialParams(n, alpha), TestSpec(n, alpha))
+            halves = [(edge, tails.tobytes()) for edge, tails in binomial._tail_table(n, alpha)[1:3]]
+            clear()
+            law, spec = BinomialParams(n, alpha), TestSpec(n, alpha)
+            # thread i starts at the first query of kind i, and then goes round
+            starts = [0, n + 3, 2 * (n + 3), 2 * (n + 3) + 2 * (n + 1)]
+            barrier = threading.Barrier(4, timeout=60)
+            results, errors = {}, []
+
+            def worker(i):
+                try:
+                    order = list(range(starts[i], len(batch))) + list(range(starts[i]))
+                    barrier.wait()
+                    results[i] = dict(zip(order, run([batch[j] for j in order], law, spec)))
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            for i in range(4):
+                got = [results[i][j] for j in range(len(batch))]
+                assert [x.hex() for x in got] == [x.hex() for x in want], (n, alpha, i)
+            stored = binomial._tail_table(n, alpha)[1:3]
+            assert [(edge, tails.tobytes()) for edge, tails in stored] == halves, (n, alpha)
+    finally:
+        sys.setswitchinterval(switch)

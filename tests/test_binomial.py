@@ -17,8 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prwtest import binomial
+from prwtest import baselines, binomial
+from prwtest.baselines import bentkus_pvalue
 from prwtest.binomial import BinomialParams, _tail_table, cdf, sf
+from prwtest.prw import TestSpec, g_inverse, prw_pvalue
 
 from _oracle import binom_cdf_exact, binom_sf_exact, rel_err
 
@@ -136,7 +138,7 @@ def test_cdf_sf_complement(n, p, data):
 def test_degenerate_law_is_a_step_at_its_point(n, p):
     # all the mass at m = 0 or n: an empty table, cdf [k >= m] and sf its complement
     m = 0 if p == 0.0 else n
-    assert _tail_table(n, p) == (m, m, m, array("d"))
+    assert _tail_table(n, p) == [m, (m, array("d")), (m, array("d")), None]
     params = BinomialParams(n, p)
     for k in range(-1, n + 2):
         assert cdf(params, k).hex() == float(k >= m).hex(), ("cdf", k)
@@ -256,13 +258,19 @@ def test_smallest_subnormal_survives():
 
 
 def test_tables_are_cached_per_law():
+    # one table per law, and each half built once: later reads reuse it
     params = BinomialParams(777, 0.3)
     cdf(params, 1)
+    table = _tail_table(777, 0.3)
+    below = table[binomial._BELOW]
     hits = _tail_table.cache_info().hits
     sf(params, 500)
+    above = table[binomial._ABOVE]
     cdf(params, 200)
-    assert _tail_table.cache_info().hits == hits + 2
+    sf(params, 600)
+    assert _tail_table.cache_info().hits == hits + 3
     assert _tail_table.cache_info().maxsize is not None
+    assert table[binomial._BELOW] is below and table[binomial._ABOVE] is above
 
 
 @pytest.mark.parametrize("n,p", [(40, 0.3), (1, 0.4), (2, 0.999999), (60, 1e-300)])
@@ -425,8 +433,21 @@ def two_array_table(n, p):
     return m - len(below), m + len(above), lower, upper
 
 
+def fresh_table(n, p):
+    """The law's cached table, emptied of both halves: the next read builds them again."""
+    table = _tail_table(n, p)
+    table[binomial._BELOW] = table[binomial._ABOVE] = None
+    return table
+
+
+# Orders of the first reads of a fresh table: cdf from below the mode up,
+# cdf from above the mode down, and sf first
+FIRST_TOUCH = ("below", "above", "sf")
+
+
 class TestTableLayout:
-    """One stored tail per cut of the window, read back as the two-array table reads."""
+    """One stored tail per cut of the window, in two halves each built on first
+    use, read back as the two-array table reads."""
 
     @given(n=st.integers(1, 3000), p=OPEN_UNIT)
     @example(n=10, p=0.05)  # m = 0: every stored tail is an upper tail
@@ -435,24 +456,82 @@ class TestTableLayout:
     @example(n=15, p=0.1)  # m = gamma - 1 at alpha = 0.1
     def test_reads_equal_the_two_array_table(self, n, p):
         lo, hi, lower, upper = two_array_table(n, p)
-        table_lo, m, table_hi, tails = _tail_table(n, p)
-        assert (table_lo, m, table_hi, len(tails)) == (lo, mode(n, p), hi, hi - lo)
+        m = mode(n, p)
         params = BinomialParams(n, p)
-        for k in range(-1, n + 2):
-            want_cdf = 0.0 if k < max(lo, 0) else lower[k - lo] if k <= hi else 1.0
-            want_sf = 1.0 if k < max(lo, 1) else upper[k - lo] if k <= hi else 0.0
-            assert cdf(params, k).hex() == want_cdf.hex(), ("cdf", k)
-            assert sf(params, k).hex() == want_sf.hex(), ("sf", k)
+        ks = range(-1, n + 2)
+        for order in FIRST_TOUCH:
+            table = fresh_table(n, p)
+            got_cdf, got_sf = {}, {}
+            if order == "below":
+                got_cdf.update((k, cdf(params, k)) for k in ks)
+            elif order == "above":
+                got_cdf.update((k, cdf(params, k)) for k in reversed(ks))
+            got_sf.update((k, sf(params, k)) for k in ks)
+            got_cdf.update((k, cdf(params, k)) for k in ks if k not in got_cdf)
+            below, above = table[binomial._BELOW], table[binomial._ABOVE]
+            # no read inside the support reaches below m = 0 or above m = n
+            assert (table[0], below is None, above is None) == (m, m == 0, m == n), order
+            assert below is None or (below[0], len(below[1])) == (lo, m - lo), order
+            assert above is None or (above[0], len(above[1])) == (hi, hi - m), order
+            for k in ks:
+                want_cdf = 0.0 if k < max(lo, 0) else lower[k - lo] if k <= hi else 1.0
+                want_sf = 1.0 if k < max(lo, 1) else upper[k - lo] if k <= hi else 0.0
+                assert got_cdf[k].hex() == want_cdf.hex(), (order, "cdf", k)
+                assert got_sf[k].hex() == want_sf.hex(), (order, "sf", k)
+
+    @pytest.mark.parametrize("n, p", [(1000, 0.37), (15, 0.1), (10, 0.05), (5, 0.95)])
+    def test_a_read_builds_only_the_half_it_reads(self, n, p):
+        m = mode(n, p)
+        params = BinomialParams(n, p)
+        for k in (-1, n):  # outside the support: no half
+            table = fresh_table(n, p)
+            cdf(params, k)
+            sf(params, k + 1)
+            assert table[binomial._BELOW:binomial._ABOVE + 1] == [None, None], k
+        for read, arg, built in ((cdf, m - 1, binomial._BELOW), (sf, m, binomial._BELOW),
+                                 (cdf, m, binomial._ABOVE), (sf, m + 1, binomial._ABOVE)):
+            if (0 <= arg < n) if read is cdf else (1 <= arg <= n):  # inside the support
+                table = fresh_table(n, p)
+                read(params, arg)
+                other = binomial._BELOW + binomial._ABOVE - built
+                assert table[built] is not None and table[other] is None, (read, arg)
+
+    @pytest.mark.parametrize("n, alpha", [
+        (1000, 0.1), (400, 0.3), (100, 0.1), (3000, 0.1), (1000, 0.3), (5000, 0.1),
+    ])
+    def test_prw_and_clamped_bentkus_leave_the_above_half_unbuilt(self, n, alpha):
+        # the laws of the benchmark's curves workload (plotdata, compare and
+        # g_inverse) and of its calibrate workload, (5000, 0.1): PRW reads
+        # k <= gamma - 1 < m there, and Bentkus's cap lies below the mode
+        table = fresh_table(n, alpha)
+        baselines._bentkus_cap.cache_clear()
+        spec = TestSpec(n, alpha)
+        assert spec.gamma - 1 < table[0]
+        for j in range(n + 1):
+            for rhat in (j / n, (j + 0.37) / n):
+                if rhat <= 1.0:
+                    prw_pvalue(rhat, spec)
+                    bentkus_pvalue(rhat, spec)
+        for delta in (0.01, 0.05, 0.1):
+            g_inverse(delta, spec)
+        assert table[binomial._BELOW] is not None and table[binomial._ABOVE] is None
+        assert spec._bentkus_cap < table[0]
 
     def test_a_table_stores_one_double_per_window_entry(self):
+        # the half below the mode alone, as a PRW query leaves it, then both
         n, p = 10**6, 0.1
         lo, hi, _, _ = two_array_table(n, p)
+        m = mode(n, p)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table = _tail_table.__wrapped__(n, p)  # a fresh build, outside the cache
+            table = _tail_table.__wrapped__(n, p)  # a fresh table, outside the cache
+            binomial._half(table, n, p, binomial._BELOW)
+            retained_below = tracemalloc.get_traced_memory()[0] - before
+            binomial._half(table, n, p, binomial._ABOVE)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert (table[0], table[2]) == (lo, hi)
+        assert (table[binomial._BELOW][0], table[binomial._ABOVE][0]) == (lo, hi)
+        assert retained_below <= 8 * (m - lo) + 16_384
         assert retained <= 8 * (hi - lo) + 16_384
