@@ -8,11 +8,8 @@ comparisons.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-from .binomial import (
-    _TABLE_CACHE_SIZE, Record, _check_closed_unit, _check_open_unit, _first_cdf, cdf,
-)
+from .binomial import Record, _check_closed_unit, _check_open_unit, _first_cdf, cdf
 from .prw import TestSpec, _snapped_ceil, prw_pvalue
 
 __all__ = ["PValueReport", "bentkus_pvalue", "kl_bernoulli", "hoeffding_tight_pvalue", "compare"]
@@ -35,32 +32,24 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     Uses the same integer-snapped ceiling as the PRW p-value, so the two
     step functions jump at identical grid points.  ``clamp=False`` reports
     the raw ``e * cdf`` value for diagnostics.  A clamped call at or past
-    the law's cap, the first k with e * cdf(k) >= 1, is 1 and reads
-    nothing; any other step's raw value is computed once per spec and then
-    looked up.
+    the law's cap, the first k with e * cdf(k) >= 1, is 1; steps up to the
+    mode are read from the law's step record (``prw._law_steps``), and
+    steps past it computed on each call.
     """
     k = _snapped_ceil(spec.n, _check_closed_unit(rhat, "rhat"))[0]
+    law, lo, _, steps, cap = record = spec._steps or spec._load_steps()
     if clamp:
-        cap = spec._bentkus_cap
-        if cap is None:  # racing misses store the same cap twice
-            law = spec._law()  # checks n first
-            cap = _bentkus_cap(law.n, law.p)
-            object.__setattr__(spec, "_bentkus_cap", cap)
+        if cap is None:  # racing threads store the same cap
+            cap = record[4] = _first_cdf(law.n, law.p, lambda x: math.e * x >= 1.0)
         if k >= cap:
             return 1.0
-    steps = spec._bentkus_steps
-    value = steps.get(k)
-    if value is None:
-        value = steps[k] = math.e * cdf(spec._law(), k)
+    try:
+        value = steps[k - lo] if k >= lo else 0.0  # e * cdf is 0.0 below lo
+    except IndexError:  # past the mode: not stored
+        return math.e * cdf(law, k)
+    if value != value:  # NaN: not yet computed
+        value = steps[k - lo] = math.e * cdf(law, k)
     return value
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _bentkus_cap(n: int, alpha: float) -> int:
-    """First k with ``math.e * cdf(k) >= 1.0`` under Bin(n, alpha): cdf is non-decreasing,
-    so every clamped Bentkus step from it on is 1.  Kept per law, as a calibration
-    builds many specs of one law."""
-    return _first_cdf(n, alpha, lambda x: math.e * x >= 1.0)
 
 
 def kl_bernoulli(a: float, b: float) -> float:

@@ -131,7 +131,7 @@ class Record:
 
 
 class BinomialParams(Record):
-    """Trial count ``n`` and success probability ``p`` of a binomial law; a TestSpec keeps one."""
+    """Trial count ``n`` and success probability ``p`` of a binomial law; step records keep one."""
 
     __slots__ = _fields = ("n", "p")
 
@@ -165,9 +165,9 @@ def cdf(params: BinomialParams, k: int) -> float:
     table = _tail_table(n, p)
     m, below, above, _ = table
     if k < m:
-        lo, tails = below or _half(table, n, p, _BELOW)
+        lo, tails = below or _half(n, p, _BELOW)
         return tails[k - lo] if k >= lo else 0.0
-    hi, tails = above or _half(table, n, p, _ABOVE)
+    hi, tails = above or _half(n, p, _ABOVE)
     return 1.0 - tails[hi - 1 - k] if k < hi else 1.0
 
 
@@ -189,9 +189,9 @@ def sf(params: BinomialParams, t: int) -> float:
     table = _tail_table(n, p)
     m, below, above, _ = table
     if t > m:
-        hi, tails = above or _half(table, n, p, _ABOVE)
+        hi, tails = above or _half(n, p, _ABOVE)
         return tails[hi - t] if t <= hi else 0.0
-    lo, tails = below or _half(table, n, p, _BELOW)
+    lo, tails = below or _half(n, p, _BELOW)
     return 1.0 - tails[t - 1 - lo] if t > lo else 1.0
 
 
@@ -199,12 +199,11 @@ def _first_cdf(n: int, p: float, reached) -> int:
     """Smallest k with ``reached(P(Bin(n, p) <= k))`` for a valid law and a test
     false at 0.0, true at 1.0 and monotone between.  Bisects the half below the mode,
     and the half above it only when no k below qualifies; makes no ``cdf`` call."""
-    table = _tail_table(n, p)
-    lo, tails = table[_BELOW] or _half(table, n, p, _BELOW)
+    lo, tails = _half(n, p, _BELOW)
     k = lo + bisect_left(tails, True, key=reached)
-    if k < table[0]:
+    if k < lo + len(tails):
         return k
-    hi, tails = table[_ABOVE] or _half(table, n, p, _ABOVE)
+    hi, tails = _half(n, p, _ABOVE)
     # tails[i] = P(X >= hi - i): cdf(hi - 1 - i) falls as i grows
     return hi - bisect_left(tails, True, key=lambda x: not reached(1.0 - x))
 
@@ -337,8 +336,8 @@ def _tail_table(n: int, p: float) -> list:
     return [m, None, None, None]
 
 
-def _half(table: list, n: int, p: float, side: int) -> tuple[int, array]:
-    """Build one half of a ``_tail_table``, store it at ``table[side]`` and return it.
+def _half(n: int, p: float, side: int) -> tuple[int, array]:
+    """Half ``side`` (_BELOW or _ABOVE) of Bin(n, p)'s ``_tail_table``, built on first use.
 
     One exact anchor at the mode m, shared by both halves; every other term
     w_j = P(X = j)/P(X = m) comes from the term-ratio recurrence, carried as
@@ -349,6 +348,9 @@ def _half(table: list, n: int, p: float, side: int) -> tuple[int, array]:
     build it from the same anchor with the same operations, so whichever
     copy is stored holds the same values.
     """
+    table = _tail_table(n, p)
+    if table[side]:  # built already
+        return table[side]
     m, anchor = table[0], table[3]
     if anchor is None:
         anchor = table[3] = _anchor(n, p, m)

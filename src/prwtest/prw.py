@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from bisect import bisect_right
+from functools import lru_cache
 
 from .binomial import (
-    BinomialParams, Record, _check_closed_unit, _check_open_unit, _check_positive_int, cdf, sf,
+    _BELOW, _TABLE_CACHE_SIZE, BinomialParams, Record, _check_closed_unit, _check_open_unit,
+    _check_positive_int, _half, cdf, sf,
 )
 
 __all__ = [
@@ -53,33 +56,27 @@ class TestSpec(Record):
     also the bound's (n, mean).  Built as ``TestSpec(n, alpha)``.  The
     derived ``gamma`` is the smallest positive integer >= n*alpha and
     ``t_max = (gamma - 1)/n`` is the right endpoint of the bound's domain;
-    the bound is only defined left of the binomial mean.  Filled on first use
-    and not fields, so equality, hash and repr ignore them and a copy starts
-    empty: ``g``'s and ``bentkus_pvalue``'s raw steps by snapped ceiling k,
-    PRW's boundary step gamma - 1 among them, the law Bin(n, alpha), and
-    Bentkus's cap, the first k from which every clamped step is 1.
+    the bound is only defined left of the binomial mean.  The slot ``_steps``
+    is not a field: None until a step is read, then the step record of
+    Bin(n, alpha) (see ``_law_steps``), which every spec of that law shares.
     """
 
     _fields = ("n", "alpha", "gamma", "t_max")
-    __slots__ = (*_fields, "_prw_steps", "_bentkus_steps", "_binomial", "_bentkus_cap")
+    __slots__ = (*_fields, "_steps")
 
     def __init__(self, n: int, alpha: float) -> None:
         n = _check_positive_int(n, "n")
         alpha = _check_open_unit(alpha, "alpha")
         gamma = max(1, _snapped_ceil(n, alpha)[0])
         super().__init__(n, alpha, gamma, (gamma - 1) / n)
-        object.__setattr__(self, "_prw_steps", {})
-        object.__setattr__(self, "_bentkus_steps", {})
-        object.__setattr__(self, "_binomial", None)
-        object.__setattr__(self, "_bentkus_cap", None)
+        object.__setattr__(self, "_steps", None)
 
-    def __reduce__(self):  # gamma and t_max are derived; a copy starts with an empty memo
+    def __reduce__(self):  # gamma and t_max are derived
         return type(self), (self.n, self.alpha)
 
-    def _law(self) -> BinomialParams:  # lazy: a spec takes an n BinomialParams rejects
-        if self._binomial is None:  # racing misses store the same value twice, as the memos do
-            object.__setattr__(self, "_binomial", BinomialParams(self.n, self.alpha))
-        return self._binomial
+    def _load_steps(self) -> list:  # at the first step read: the law's record, kept in the slot
+        object.__setattr__(self, "_steps", _law_steps(self.n, self.alpha))
+        return self._steps
 
     @classmethod
     def from_mean(cls, n: int, mean: float) -> "TestSpec":
@@ -89,6 +86,17 @@ class TestSpec(Record):
 
 # The bound's name for the same context, kept for existing callers.
 GBoundContext = TestSpec
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _law_steps(n: int, alpha: float) -> list:
+    """Step record ``[law, lo, prw, bentkus, cap]`` of law = Bin(n, alpha), for all its specs:
+    the raw PRW and Bentkus steps at lo <= k <= m, the mode, at index k - lo (NaN until computed;
+    below lo every step is 0.0), and Bentkus's cap, None until a clamped Bentkus call needs it."""
+    law = BinomialParams(n, alpha)  # first: a spec takes an n BinomialParams rejects
+    lo, tails = _half(n, alpha, _BELOW)
+    unfilled = array("d", [math.nan]) * (len(tails) + 1)
+    return [law, lo, unfilled, array("d", unfilled), None]
 
 
 def gamma_r(n: int, mean: float) -> int:
@@ -162,7 +170,7 @@ def g(t: float, ctx: TestSpec) -> float:
     n = 4.5e9, rounds above it), the value is clamped below by 1, which makes
     the capped p-value valid.  g(0) equals (1 - alpha)**n exactly whenever
     gamma >= 2; no t > 0 snaps to it.  The only path from t to a PRW step, for
-    ``prw_pvalue`` and ``g_inverse`` too: each step is computed once per spec.
+    ``prw_pvalue`` and ``g_inverse`` too: each step is computed once per law.
     """
     t = float(t)
     k, snapped = _snapped_ceil(ctx.n, t) if 0.0 <= t <= 1.0 else (-1, False)
@@ -175,10 +183,10 @@ def _g(k: int, snapped: bool, ctx: TestSpec) -> float:  # g at the snapped ceili
     last = ctx.gamma - 1
     on_boundary = k > last or snapped and k == last
     k = last if on_boundary else k
-    steps = ctx._prw_steps
-    value = steps.get(k)
-    if value is None:
-        value = steps[k] = _lower_step(ctx._law(), k)
+    law, lo, steps, _, _ = ctx._steps or ctx._load_steps()
+    value = steps[k - lo] if k >= lo else 0.0  # k <= last <= m
+    if value != value:  # NaN: not yet computed
+        value = steps[k - lo] = _lower_step(law, k)
     return 1.0 if on_boundary and value < 1.0 else value
 
 
@@ -188,7 +196,7 @@ def g_inverse(delta: float, ctx: TestSpec) -> float:
     The bound is a left-continuous step function jumping only at the grid
     points {0, 1/n, ..., (gamma-1)/n}, and its values there are
     non-decreasing, so a bisection over j in [0, gamma-2] is exact and reads
-    O(log gamma) of ``g``'s memoised steps by index; no root finding is
+    O(log gamma) of ``g``'s stored steps by index; no root finding is
     involved.  The boundary point (gamma-1)/n never qualifies because its
     value is clamped to at least 1.  Satisfies ``g(g_inverse(delta)) <=
     delta`` while n*(j/n) snaps to j, which holds up to n = 4.5e9.
@@ -220,11 +228,11 @@ def prw_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     ``min(1, g(min(rhat, spec.t_max)))``.  ``clamp=False`` returns the raw
     bound value, which exceeds 1 in the capped region; useful for
     diagnostics only.  A clamped rhat >= t_max is 1 by construction and reads
-    nothing; an unclamped one reads ``g(t_max)``, the boundary entry of
-    ``g``'s memo.  Any other rhat snaps once into that memo.
+    nothing; any other call reads one step of the law's record.
     """
     rhat = _check_closed_unit(rhat, "rhat")
     if rhat >= spec.t_max:  # g is clamped below by 1 at its boundary
         return 1.0 if clamp else g(spec.t_max, spec)
-    value = _g(*_snapped_ceil(spec.n, rhat), spec)
+    k, snapped = _snapped_ceil(spec.n, rhat)
+    value = _g(k, snapped, spec)
     return 1.0 if clamp and value > 1.0 else value

@@ -1,7 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from prwtest import binomial, prw
 
 # Lets test modules import the shared oracle helpers as plain modules.
 sys.path.insert(0, str(Path(__file__).parent))
@@ -11,9 +14,29 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# CI runs the snap, memo, table-layout and g_inverse properties again under this one:
+# CI runs the snap, memo, step-record, table-layout and g_inverse properties again under this one:
 # more examples, nothing else changed.
 settings.register_profile("ci", parent=settings.get_profile("default"), max_examples=1000)
 settings.load_profile("default")
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def clear_law_caches():
+    """Drop every tail table and every per-law step record: the next call on any law is cold.
+    A spec that already read its record keeps it."""
+    binomial._tail_table.cache_clear()
+    prw._law_steps.cache_clear()
+
+
+def filled(spec, which: str) -> set:
+    """The k whose raw PRW or Bentkus step the spec's law record holds."""
+    law, lo, prw_steps, bentkus_steps, cap = spec._steps
+    steps = prw_steps if which == "prw" else bentkus_steps
+    return {lo + i for i, x in enumerate(steps) if x == x}
+
+
+@pytest.fixture
+def cold():
+    """Start the test with no tail table and no step record cached."""
+    clear_law_caches()

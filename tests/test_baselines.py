@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from decimal import Decimal, ROUND_HALF_UP
 
@@ -22,6 +23,8 @@ from prwtest.baselines import (
 from prwtest.binomial import BinomialParams, cdf, sf
 from prwtest import baselines, binomial, prw
 from prwtest.prw import TestSpec, ceil_scaled, lower_tail_bound, prw_pvalue
+
+from conftest import clear_law_caches, filled
 
 REL = 1e-12
 SPEC = TestSpec(n=100, alpha=0.1)
@@ -277,7 +280,7 @@ def assert_memo_matches_reference(spec: TestSpec, points) -> None:
     """Clamped and raw values, on the first and on a repeat call, equal the
     unmemoised references bit for bit.  The first pass alternates which of
     the two calls fills an entry.  A clamped PRW call at rhat >= t_max is 1.0
-    exactly, and PRW's memo holds only steps 0 to gamma - 1."""
+    exactly, and the law's record holds PRW steps only up to gamma - 1."""
     for repeat in (False, True):
         for i, rhat in enumerate(points):
             for fn, ref in ((prw_pvalue, prw_reference), (bentkus_pvalue, bentkus_reference)):
@@ -290,12 +293,13 @@ def assert_memo_matches_reference(spec: TestSpec, points) -> None:
                     assert got == expected, (fn.__name__, spec, rhat, repeat)
             if rhat >= spec.t_max:
                 assert prw_pvalue(rhat, spec) == 1.0, (spec, rhat, repeat)
-    assert spec._prw_steps.keys() <= set(range(spec.gamma)), spec
+    if spec._steps is not None:
+        assert max(filled(spec, "prw"), default=0) <= spec.gamma - 1, spec
 
 
 class TestStepMemo:
     @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (400, 0.3), (2, 0.7), (1, 0.5)])
-    def test_memoised_values_equal_unmemoised_reference(self, n, alpha):
+    def test_memoised_values_equal_unmemoised_reference(self, cold, n, alpha):
         spec = TestSpec(n=n, alpha=alpha)
         on_grid = [j / n for j in range(n + 1)]
         off_grid = [(j + 0.37) / n for j in range(n)]
@@ -313,7 +317,7 @@ class TestStepMemo:
     @pytest.mark.parametrize("n, alpha", [
         (10_000, 0.25), (10_000, 0.1234567), (10**6, 0.1), (10**6, 0.0123456789),
     ])
-    def test_large_n_steps_equal_unmemoised_reference(self, n, alpha):
+    def test_large_n_steps_equal_unmemoised_reference(self, cold, n, alpha):
         # n*t_max > 1000, so the snap slack is SNAP_ATOL, not SNAP_RTOL * n*t
         spec = TestSpec(n=n, alpha=alpha)
         boundary = spec.gamma - 1
@@ -328,7 +332,7 @@ class TestStepMemo:
                 points += [(j - f * prw.SNAP_ATOL) / n, (j + f * prw.SNAP_ATOL) / n]
         assert_memo_matches_reference(spec, points + edge_points(spec))
 
-    def test_a_ceiling_past_the_boundary_reads_the_boundary(self, monkeypatch):
+    def test_a_ceiling_past_the_boundary_reads_the_boundary(self, cold, monkeypatch):
         # n*t_max = 100 * 0.07 = 7.000000000000001 at gamma = 8.  With no
         # absolute slack it does not snap and ceils past gamma - 1, as n*t_max
         # itself can past n = 4.5e9; the boundary value is read
@@ -340,48 +344,55 @@ class TestStepMemo:
         assert prw_pvalue(0.5, spec, clamp=False) == want
         assert_memo_matches_reference(spec, [0.069, 0.07, 0.0700000001, 1.0])
         # the same value when interior calls, one of them on step 7, come first
+        # on a cold law
+        clear_law_caches()
         fresh = TestSpec(n=100, alpha=0.075)
         assert_memo_matches_reference(fresh, [0.069, 0.0699, 0.05, 0.0700000001, 0.07])
-        assert fresh._prw_steps[7] == lower_tail_bound(100, 0.075, 7)
+        law, lo, steps, _, _ = fresh._steps
+        assert steps[7 - lo] == lower_tail_bound(100, 0.075, 7)
         assert (prw_pvalue(1.0, fresh, clamp=False), prw_pvalue(1.0, fresh)) == (want, 1.0)
 
     @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (2, 0.7), (1, 0.5)])
-    def test_capped_value_filled_by_the_first_call(self, n, alpha):
+    def test_capped_value_filled_by_the_first_call(self, cold, n, alpha):
         spec = TestSpec(n=n, alpha=alpha)
         assert_memo_matches_reference(spec, [1.0, spec.t_max, 0.0, 0.5 * spec.t_max, 0.999])
 
     @pytest.mark.parametrize("n, alpha", [(100, 0.1), (1000, 0.1), (2, 0.7), (1, 0.5)])
-    def test_capped_value_filled_after_interior_calls(self, n, alpha):
+    def test_capped_value_filled_after_interior_calls(self, cold, n, alpha):
         # interior calls fill steps up to gamma - 1; a capped call then reads
-        # step gamma - 1 from the memo only when unclamped, clamped below by 1
+        # step gamma - 1 from the record only when unclamped, clamped below by 1
         spec = TestSpec(n=n, alpha=alpha)
         interior = [j / n for j in range(spec.gamma - 1)] + [math.nextafter(spec.t_max, 0.0)]
         assert_memo_matches_reference(spec, [r for r in interior if r < spec.t_max] + [1.0])
-        steps = dict(spec._prw_steps)
-        assert prw_pvalue(1.0, spec) == 1.0 and spec._prw_steps == steps
+        steps = spec._steps[2].tobytes()
+        assert prw_pvalue(1.0, spec) == 1.0 and spec._steps[2].tobytes() == steps
         assert prw_pvalue(1.0, spec, clamp=False) == prw_reference(1.0, spec) >= 1.0
 
-    def test_unclamped_first_call_stores_the_raw_value(self):
+    def test_unclamped_first_call_stores_the_raw_value(self, cold):
         spec = TestSpec(n=100, alpha=0.1)
         raw = prw_pvalue(0.5, spec, clamp=False)
-        assert raw == spec._prw_steps[9] == lower_tail_bound(100, 0.1, 9) > 1.0
-        assert spec._prw_steps.keys() == {9}
+        law, lo, steps, _, _ = spec._steps
+        assert raw == steps[9 - lo] == lower_tail_bound(100, 0.1, 9) > 1.0
+        assert filled(spec, "prw") == {9}
         assert (prw_pvalue(0.5, spec), prw_pvalue(0.09, spec, clamp=False)) == (1.0, raw)
 
     @pytest.mark.parametrize("clone", [
         copy.copy, copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec)),
     ])
-    def test_a_copy_of_a_warm_spec_starts_empty_with_the_same_bits(self, clone):
+    def test_a_copy_of_a_warm_spec_starts_empty_with_the_same_bits(self, cold, clone):
+        # the copy's slot starts empty, and its first read finds the record
+        # its law already has: the warm spec's, with every step it filled
         warm = TestSpec(n=100, alpha=0.1)
         points = [0.0, 0.031, 0.05, 0.0899, 0.09, 0.5, 1.0]
         want = [(prw_pvalue(r, warm, clamp=c), bentkus_pvalue(r, warm, clamp=c))
                 for r in points for c in (True, False)]
         spec = clone(warm)
         assert spec == warm
-        assert (spec._prw_steps, spec._bentkus_steps, spec._binomial) == ({}, {}, None)
+        assert spec._steps is None
         got = [(prw_pvalue(r, spec, clamp=c), bentkus_pvalue(r, spec, clamp=c))
                for r in points for c in (True, False)]
         assert got == want
+        assert spec._steps is warm._steps
         assert_memo_matches_reference(clone(warm), points)
 
     @pytest.mark.parametrize("order", [(0.3, 0.5), (0.5, 0.3)])
@@ -392,6 +403,27 @@ class TestStepMemo:
         want = {0.3: 0.8925000000000003, 0.5: 1.0}
         for rhat in order + order:
             assert prw_pvalue(rhat, spec, clamp=False) == want[rhat]
+
+    def test_a_sweep_keeps_its_law_record_within_three_times_the_table(self, cold):
+        # one spec over 1e5 grid points at n = 1e6: 86 602 of them lie below
+        # the window edge lo and store nothing, the rest one double per method
+        n, alpha = 10**6, 0.1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            binomial._half(n, alpha, binomial._BELOW)  # what a PRW query builds
+            table = tracemalloc.get_traced_memory()[0] - before
+            spec = TestSpec(n, alpha)
+            for j in range(100_000):
+                prw_pvalue(j / n, spec)
+                bentkus_pvalue(j / n, spec)
+            record = tracemalloc.get_traced_memory()[0] - before - table
+        finally:
+            tracemalloc.stop()
+        lo = spec._steps[1]
+        # the last point, t_max, is capped and reads no step
+        assert (lo, len(filled(spec, "prw"))) == (86_602, 100_000 - 1 - 86_602)
+        assert 8 * (100_000 - lo) <= table and record <= 3 * table
 
     def test_memo_leaves_equality_hash_and_repr_alone(self):
         queried, fresh = TestSpec(n=100, alpha=0.1), TestSpec(n=100, alpha=0.1)
@@ -405,10 +437,11 @@ class TestStepMemo:
 class TestCdfBindings:
     """A cold PRW or Bentkus step calls ``cdf`` once, through the module
     binding ``prw.cdf`` or ``baselines.cdf``, so that a wrapper set on that
-    binding sees every tail query; warm and clamped capped calls make no call."""
+    binding sees every tail query; warm and clamped capped calls, and steps
+    below the law's window, make no call."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, cold, monkeypatch):
         counts = Counter()
         for module in (prw, baselines):
             def counting(params, k, name=module.__name__, inner=module.cdf):
@@ -445,8 +478,10 @@ class TestCdfBindings:
         assert calls == {"prwtest.prw": 1}
 
     def test_warm_and_capped_calls_make_none(self, calls):
-        # a clamped Bentkus call at or past the cap fills no memo entry, so
-        # the warm-up makes unclamped calls too
+        # a clamped Bentkus call at or past the cap fills no record entry, so
+        # the warm-up makes unclamped calls too.  The record stops at the mode,
+        # m = 10: an unclamped Bentkus step past it (rhat 0.5, 0.4999 and 1.0)
+        # is computed on every call, with one query each
         spec = TestSpec(n=100, alpha=0.1)
         for rhat in (0.0, 0.05, 0.0899, 0.09, 0.5, 1.0):
             for clamp in (True, False):
@@ -457,16 +492,47 @@ class TestCdfBindings:
             for clamp in (True, False):
                 prw_pvalue(rhat, spec, clamp=clamp)
                 bentkus_pvalue(rhat, spec, clamp=clamp)
-        assert calls == {}
+        assert calls == {"prwtest.baselines": 3}
 
     def test_clamped_calls_at_or_past_the_cap_make_none(self, calls):
         # at (100, 0.1) the cap is 9: e * cdf(8) < 1 <= e * cdf(9)
         spec = TestSpec(n=100, alpha=0.1)
         for rhat in (0.09, 0.0899, 0.5, 1.0):
             assert bentkus_pvalue(rhat, spec) == 1.0
-        assert (calls, spec._bentkus_steps, spec._bentkus_cap) == ({}, {}, 9)
+        assert (calls, filled(spec, "bentkus"), spec._steps[4]) == ({}, set(), 9)
         assert bentkus_pvalue(0.08, spec) == math.e * cdf(BinomialParams(100, 0.1), 8) < 1.0
         assert calls == {"prwtest.baselines": 1}
+
+    def test_a_new_spec_reads_the_steps_its_law_record_holds(self, calls):
+        first = TestSpec(5000, 0.1)
+        # up to the mode, 500, past which an unclamped Bentkus step is not stored
+        rhats = [j / 5000 for j in range(0, 501, 3)] + [(j + 0.37) / 5000 for j in range(400, 500)]
+        want = [(prw_pvalue(r, first, clamp=c), bentkus_pvalue(r, first, clamp=c))
+                for r in rhats for c in (True, False)]
+        assert calls["prwtest.prw"] > 100 and calls["prwtest.baselines"] > 100
+        calls.clear()
+        fresh = TestSpec(5000, 0.1)
+        got = [(prw_pvalue(r, fresh, clamp=c), bentkus_pvalue(r, fresh, clamp=c))
+               for r in rhats for c in (True, False)]
+        assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
+        assert calls == {} and fresh._steps is first._steps
+
+    def test_steps_below_the_record_window_are_zero_with_no_tail_query(self, calls):
+        n, alpha = 10**6, 0.1
+        spec = TestSpec(n, alpha)
+        prw_pvalue(0.0999, spec)  # reads the record, whose window starts at lo
+        law, lo, _, _, _ = spec._steps
+        assert lo == 86_602
+        calls.clear()
+        ks = (0, 1, 50_000, lo - 1)
+        for k in ks:
+            for clamp in (True, False):
+                for pvalue in (prw_pvalue, bentkus_pvalue):
+                    assert pvalue(k / n, spec, clamp=clamp).hex() == "0x0.0p+0", (k, pvalue)
+        assert calls == {}
+        for k in ks:  # the unstored value is the formula's
+            step = lower_tail_bound(n, alpha, k)
+            assert step.hex() == (math.e * cdf(law, k)).hex() == "0x0.0p+0", k
 
 
 class TestBentkusCap:
@@ -479,7 +545,9 @@ class TestBentkusCap:
     @example(n=15, alpha=0.1)  # e * cdf(m - 1) < 1: the cap is the mode, 1
     def test_cap_is_the_first_step_at_one(self, n, alpha):
         law = BinomialParams(n, alpha)
-        cap = baselines._bentkus_cap(n, alpha)
+        spec = TestSpec(n, alpha)
+        bentkus_pvalue(1.0, spec)  # the first clamped call finds the law's cap
+        cap = spec._steps[4]
         raw = [math.e * cdf(law, k) for k in range(n + 1)]
         assert all(x < 1.0 for x in raw[:cap]) and all(x >= 1.0 for x in raw[cap:])
         for k in (cap - 1, cap, cap + 1):
@@ -491,11 +559,12 @@ class TestBentkusCap:
 
 
 def test_threads_on_one_cold_law_read_the_single_threaded_values():
-    # The tables, the Bentkus cap and the step memos fill lazily in shared
-    # state.  Four threads start on one cold law and spec, each on another
-    # kind of query, so that several of them may build one half or fill one
-    # entry at once; every value, and every half stored, must equal a
-    # single-threaded run.
+    # The tables and the law's step record, its Bentkus cap among them, fill
+    # lazily in shared state.  Four threads start on one cold law, each on
+    # another kind of query; two share one spec and the other two have specs
+    # of their own, so that several of them may build one half, look up one
+    # record or fill one entry at once.  Every value, every half stored and
+    # every step record must equal a single-threaded run.
     def queries(n):  # cdf up from below the mode, sf down from above it, PRW, Bentkus
         ks = range(-1, n + 2)
         return ([(cdf, k, None) for k in ks] + [(sf, k, None) for k in reversed(ks)]
@@ -505,20 +574,23 @@ def test_threads_on_one_cold_law_read_the_single_threaded_values():
     def run(batch, law, spec):
         return [f(law, x) if clamp is None else f(x, spec, clamp=clamp) for f, x, clamp in batch]
 
-    def clear():
-        binomial._tail_table.cache_clear()
-        baselines._bentkus_cap.cache_clear()
+    def record_bytes(spec):
+        law, lo, prw_steps, bentkus_steps, cap = spec._steps
+        return law, lo, prw_steps.tobytes(), bentkus_steps.tobytes(), cap
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for n, alpha in ((2000, 0.137), (15, 0.1), (10, 0.05), (5000, 0.1)):
             batch = queries(n)
-            clear()
-            want = run(batch, BinomialParams(n, alpha), TestSpec(n, alpha))
+            clear_law_caches()
+            spec = TestSpec(n, alpha)
+            want = run(batch, BinomialParams(n, alpha), spec)
             halves = [(edge, tails.tobytes()) for edge, tails in binomial._tail_table(n, alpha)[1:3]]
-            clear()
-            law, spec = BinomialParams(n, alpha), TestSpec(n, alpha)
+            record = record_bytes(spec)
+            clear_law_caches()
+            law, shared = BinomialParams(n, alpha), TestSpec(n, alpha)
+            specs = [shared, shared, TestSpec(n, alpha), TestSpec(n, alpha)]
             # thread i starts at the first query of kind i, and then goes round
             starts = [0, n + 3, 2 * (n + 3), 2 * (n + 3) + 2 * (n + 1)]
             barrier = threading.Barrier(4, timeout=60)
@@ -528,7 +600,7 @@ def test_threads_on_one_cold_law_read_the_single_threaded_values():
                 try:
                     order = list(range(starts[i], len(batch))) + list(range(starts[i]))
                     barrier.wait()
-                    results[i] = dict(zip(order, run([batch[j] for j in order], law, spec)))
+                    results[i] = dict(zip(order, run([batch[j] for j in order], law, specs[i])))
                 except Exception as exc:  # reported by the main thread
                     errors.append(exc)
 
@@ -543,5 +615,6 @@ def test_threads_on_one_cold_law_read_the_single_threaded_values():
                 assert [x.hex() for x in got] == [x.hex() for x in want], (n, alpha, i)
             stored = binomial._tail_table(n, alpha)[1:3]
             assert [(edge, tails.tobytes()) for edge, tails in stored] == halves, (n, alpha)
+            assert all(record_bytes(s) == record for s in specs), (n, alpha)
     finally:
         sys.setswitchinterval(switch)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prwtest import baselines, binomial
+from prwtest import binomial, prw
 from prwtest.baselines import bentkus_pvalue
 from prwtest.binomial import BinomialParams, _tail_table, cdf, sf
 from prwtest.prw import TestSpec, g_inverse, prw_pvalue
@@ -258,8 +258,10 @@ def test_smallest_subnormal_survives():
 
 
 def test_tables_are_cached_per_law():
-    # one table per law, and each half built once: later reads reuse it
+    # one table per law, and each half built once: later reads reuse it.  A
+    # read looks the table up once, and once more in _half when it builds a half
     params = BinomialParams(777, 0.3)
+    fresh_table(777, 0.3)
     cdf(params, 1)
     table = _tail_table(777, 0.3)
     below = table[binomial._BELOW]
@@ -268,7 +270,7 @@ def test_tables_are_cached_per_law():
     above = table[binomial._ABOVE]
     cdf(params, 200)
     sf(params, 600)
-    assert _tail_table.cache_info().hits == hits + 3
+    assert _tail_table.cache_info().hits == hits + 4
     assert _tail_table.cache_info().maxsize is not None
     assert table[binomial._BELOW] is below and table[binomial._ABOVE] is above
 
@@ -503,8 +505,8 @@ class TestTableLayout:
         # the laws of the benchmark's curves workload (plotdata, compare and
         # g_inverse) and of its calibrate workload, (5000, 0.1): PRW reads
         # k <= gamma - 1 < m there, and Bentkus's cap lies below the mode
+        prw._law_steps.cache_clear()  # a record already holding the steps would read no table
         table = fresh_table(n, alpha)
-        baselines._bentkus_cap.cache_clear()
         spec = TestSpec(n, alpha)
         assert spec.gamma - 1 < table[0]
         for j in range(n + 1):
@@ -515,20 +517,20 @@ class TestTableLayout:
         for delta in (0.01, 0.05, 0.1):
             g_inverse(delta, spec)
         assert table[binomial._BELOW] is not None and table[binomial._ABOVE] is None
-        assert spec._bentkus_cap < table[0]
+        assert spec._steps[4] < table[0]  # the law's Bentkus cap
 
     def test_a_table_stores_one_double_per_window_entry(self):
         # the half below the mode alone, as a PRW query leaves it, then both
         n, p = 10**6, 0.1
         lo, hi, _, _ = two_array_table(n, p)
         m = mode(n, p)
+        table = fresh_table(n, p)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            table = _tail_table.__wrapped__(n, p)  # a fresh table, outside the cache
-            binomial._half(table, n, p, binomial._BELOW)
+            binomial._half(n, p, binomial._BELOW)
             retained_below = tracemalloc.get_traced_memory()[0] - before
-            binomial._half(table, n, p, binomial._ABOVE)
+            binomial._half(n, p, binomial._ABOVE)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -27,6 +27,7 @@ from prwtest.prw import (
 )
 
 from _oracle import lower_tail_bound_exact, rel_err, upper_tail_bound_exact
+from conftest import clear_law_caches, filled
 
 REL = 1e-12
 
@@ -391,7 +392,7 @@ def g_inverse_or_error(delta, spec):
     step=st.none() | st.integers(0, 3000),
 )
 def test_g_inverse_reads_steps_by_index_and_equals_the_scan(n, alpha, delta, step):
-    # the bisection reads step j of g's memo directly: no t = j/n goes
+    # the bisection reads step j of the law's record directly: no t = j/n goes
     # through g or the snap.  A drawn step puts delta on a step value, where
     # ties must count as qualifying
     spec = TestSpec(n, alpha)
@@ -423,14 +424,20 @@ def test_g_inverse_reads_steps_by_index_and_equals_the_scan(n, alpha, delta, ste
     delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
 def test_g_inverse_on_filled_steps_equals_a_fresh_spec(n, alpha, delta):
-    # g's per-spec memo holds every step left of the boundary once prw_pvalue
-    # has visited the whole grid (a clamped capped call reads no step), so
-    # the warm bisection reads only stored values
+    # the law's record holds every step left of the boundary from its window
+    # edge lo on once prw_pvalue has visited the whole grid (a clamped capped
+    # call reads no step, and a step below lo is 0.0 unstored), so the warm
+    # bisection reads only stored values.  The fresh spec reads a new record
+    clear_law_caches()
     warm = TestSpec(n, alpha)
     for j in range(n + 1):
         prw_pvalue(j / n, warm)
-    assert warm._prw_steps.keys() == set(range(warm.gamma - 1))
-    assert g_inverse_or_error(delta, warm) == g_inverse_or_error(delta, TestSpec(n, alpha))
+    if warm.gamma > 1:  # else every call is capped and no record is read
+        assert filled(warm, "prw") == set(range(warm._steps[1], warm.gamma - 1))
+    clear_law_caches()
+    fresh = TestSpec(n, alpha)
+    assert g_inverse_or_error(delta, warm) == g_inverse_or_error(delta, fresh)
+    assert warm.gamma == 1 or fresh._steps is not warm._steps
 
 
 class TestPrwPvalue:

@@ -136,7 +136,7 @@ RHATS = (0.0, 0.01, 0.03, 0.05, 0.0899999999, 0.09, 0.2, 1.0)
 @pytest.mark.parametrize("queried", [False, True])
 def test_a_copied_spec_answers_like_its_original(duplicate, queried):
     spec = TestSpec(100, 0.1)
-    if queried:  # the copy is taken after the step memo holds values
+    if queried:  # the copy is taken after its law's step record holds values
         for rhat in RHATS[::2]:
             prw_pvalue(rhat, spec)
             bentkus_pvalue(rhat, spec, clamp=False)
