@@ -152,8 +152,9 @@ def cdf(params: BinomialParams, k: int) -> float:
     are kept for the 64 most recently used laws and are empty at p = 0 or 1.
     Values hold 1e-12 relative error, which the tests check against exact
     rational sums at n = 1000 and 5000 for p = 0.1, 0.5 and 0.9 (and at
-    n = 10_000 for p = 0.5), and against 200-bit mpmath sums within 30
-    standard deviations of the mean at n = 1e5 and 1e6 for p = 0.1 and 0.5.
+    n = 10_000 for p = 0.5), and against 200-bit mpmath: full sums within
+    30 standard deviations at n = 1e5 and 1e6 (p = 0.1, 0.5), and sums
+    outward from 6 to 34 deviations out up to n = 1e9 (p = 0.1, 0.3).
     A tail below the smallest subnormal double is 0.0.
     """
     k = operator.index(k)
@@ -342,11 +343,11 @@ def _half(n: int, p: float, side: int) -> tuple[int, array]:
     One exact anchor at the mode m, shared by both halves; every other term
     w_j = P(X = j)/P(X = m) comes from the term-ratio recurrence, carried as
     a mantissa and a power of two so deep-tail terms keep their relative
-    precision.  The rounding of 1 - p would bias every ratio the same way,
-    so its effect is removed from each term (see ``_sweep``) instead of
-    compounding over thousands of steps.  Threads that race on one half
-    build it from the same anchor with the same operations, so whichever
-    copy is stored holds the same values.
+    precision.  Each ratio is one correctly rounded quotient of integers,
+    from p = a/d taken exactly, so no rounding of 1 - p biases every step
+    the same way.  Threads that race on one half build it from the same
+    anchor with the same operations, so whichever copy is stored holds the
+    same values.
     """
     table = _tail_table(n, p)
     if table[side]:  # built already
@@ -354,37 +355,34 @@ def _half(n: int, p: float, side: int) -> tuple[int, array]:
     m, anchor = table[0], table[3]
     if anchor is None:
         anchor = table[3] = _anchor(n, p, m)
-    q = 1.0 - p
-    # 1 - p == q * (1 + drift) with |drift| < 2**-53; the ratios below use q,
-    # so each term is off by (1 + drift)**(steps from the mode).
-    drift = (-p - (q - 1.0)) / q
+    a, d = p.as_integer_ratio()
+    c = d - a
     if side == _BELOW:  # P(X <= k) for k = lo, ..., m - 1
         tails = _inward_tails(anchor, *_sweep(
-            range(m, 0, -1), lambda j: j * q / ((n - j + 1) * p), drift
+            range(m, 0, -1), lambda j: j * c / ((n - j + 1) * a)
         ))
         edge = m - len(tails)
     else:  # P(X >= t) for t = hi, ..., m + 1
         tails = _inward_tails(anchor, *_sweep(
-            range(m, n), lambda j: (n - j) * p / ((j + 1) * q), -drift
+            range(m, n), lambda j: (n - j) * a / ((j + 1) * c)
         ))
         edge = m + len(tails)
     table[side] = half = edge, array("d", tails)
     return half
 
 
-def _sweep(steps, ratio, drift):
+def _sweep(steps, ratio):
     """Terms w_j = P(X = j)/P(X = m) on one side of the mode m, walking outward.
 
-    ``ratio(j)`` is w_next / w_j for the next term out from j, computed with
-    a relative bias of ``drift`` per step that is removed from each stored
-    term at once (a per-step correction would round away).  Returns the
-    mantissas and exponents (w = mantissa * 2**exponent) and the ratios,
-    nearest the mode first.  Stops at the end of the support or once a term
-    falls below 2**_CUT_EXP.
+    ``ratio(j)`` is w_next / w_j for the next term out from j, one correctly
+    rounded integer quotient, so each step adds a single rounding of the
+    ratio and one of the product.  Returns the mantissas and exponents
+    (w = mantissa * 2**exponent) and the ratios, nearest the mode first.
+    Stops at the end of the support or once a term falls below 2**_CUT_EXP.
     """
     w, e = 1.0, 0
     mantissas, exponents, ratios = [], [], []
-    for step, j in enumerate(steps, start=1):
+    for j in steps:
         r = ratio(j)
         w *= r
         if w < _RESCALE:
@@ -394,7 +392,7 @@ def _sweep(steps, ratio, drift):
             e += shift
             if e < _CUT_EXP:
                 break
-        mantissas.append(w + w * (step * drift))
+        mantissas.append(w)
         exponents.append(e)
         ratios.append(r)
     return mantissas, exponents, ratios

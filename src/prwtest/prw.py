@@ -67,7 +67,7 @@ class TestSpec(Record):
     def __init__(self, n: int, alpha: float) -> None:
         n = _check_positive_int(n, "n")
         alpha = _check_open_unit(alpha, "alpha")
-        gamma = max(1, _snapped_ceil(n, alpha)[0])
+        gamma = gamma_r(n, alpha)
         super().__init__(n, alpha, gamma, (gamma - 1) / n)
         object.__setattr__(self, "_steps", None)
 
@@ -152,7 +152,7 @@ def lower_tail_bound(n: int, mean: float, k: int) -> float:
     k = operator.index(k)
     # k <= gamma - 1 is the integer form of k < n*mean, robust to n*mean
     # landing a few ulps off an integer.
-    if not 0 <= k <= max(1, _snapped_ceil(n, mean)[0]) - 1:
+    if not 0 <= k <= gamma_r(n, mean) - 1:
         raise ValueError(f"k must be an integer in [0, n*mean) = [0, {n * mean}), got {k}")
     return _lower_step(BinomialParams(n, mean), k)
 

@@ -401,13 +401,59 @@ def mpmath_tails(n, p, ks):
         return {k: (lower[k - lo], upper[k - lo]) for k in ks}
 
 
-@pytest.mark.parametrize("n", [10**5, 10**6])
-@pytest.mark.parametrize("p", [0.1, 0.5])
+def mpmath_outward_tails(n, p, ks):
+    """{k: (P(X <= k), P(X >= k))} for k off the mode, each summed outward from k.
+
+    P(X = k) is mpmath's own 200-bit binomial times the powers of p and
+    1 - p, as in ``mpmath_tails``.  The terms beyond k, on the side away
+    from the mode, are summed relative to it as 200-bit fixed-point
+    integers from the exact integer ratios, until one falls below 2**-130.
+    The ratios shrink outward, so the rest is below 2**-130 / (1 - ratio),
+    far under 1e-20 of the tail 6 standard deviations out.  The other tail
+    is its complement plus P(X = k).  Up to about 130 000 integer steps
+    per k at n = 1e9, a fraction of a second, where the full 200-bit mpmath
+    sum takes seconds per law past n = 1e7.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a, d = p.as_integer_ratio()
+    c = d - a
+    m = mode(n, p)
+    one = 1 << 200
+    tails = {}
+    for k in ks:
+        total = w = one
+        j = k
+        while w >> 70 and 0 < j < n:  # P(X = j) / P(X = k) >= 2**-130
+            if k < m:
+                w = w * (j * c) // ((n - j + 1) * a)
+                j -= 1
+            else:
+                w = w * ((n - j) * a) // ((j + 1) * c)
+                j += 1
+            total += w
+        with mpmath.workprec(200):
+            pf = mpmath.mpf(p)
+            pmf = mpmath.binomial(n, k) * pf**k * (1 - pf) ** (n - k)
+            tail = pmf * total / one
+            rest = 1 - tail + pmf
+        tails[k] = (tail, rest) if k < m else (rest, tail)
+    return tails
+
+
+@pytest.mark.parametrize("p, n", [
+    *((p, n) for n in (10**5, 10**6) for p in (0.1, 0.5)),
+    *((p, n) for n in (10**7, 10**8, 10**9) for p in (0.1, 0.3)),
+    (0.7231, 10**8),  # p > 1/2: the mode lies above n/2
+])
 def test_large_n_tails_match_mpmath(n, p):
     sd = math.sqrt(n * p * (1 - p))
-    ks = sorted({round(n * p + z * sd) for z in (-30, -20, -12, -6, -2, -1, 0, 1, 2, 6, 12, 20, 30)})
+    if n <= 10**6:
+        zs, reference = (-30, -20, -12, -6, -2, -1, 0, 1, 2, 6, 12, 20, 30), mpmath_tails
+    else:  # CI runs the full sums at n = 1e8 and 1e9 in a step of their own
+        zs, reference = (-34, -20, -12, -6, 6, 12, 20, 34), mpmath_outward_tails
+    ks = sorted({round(n * p + z * sd) for z in zs})
     params = BinomialParams(n, p)
-    for k, (want_cdf, want_sf) in mpmath_tails(n, p, ks).items():
+    for k, (want_cdf, want_sf) in reference(n, p, ks).items():
         assert abs(cdf(params, k) - want_cdf) <= REL * want_cdf, ("cdf", k)
         assert abs(sf(params, k) - want_sf) <= REL * want_sf, ("sf", k)
 
@@ -421,13 +467,13 @@ def two_array_table(n, p):
     """
     m = mode(n, p)
     anchor = binomial._anchor(n, p, m)
-    q = 1.0 - p
-    drift = (-p - (q - 1.0)) / q
+    a, d = p.as_integer_ratio()
+    c = d - a
     below = binomial._inward_tails(anchor, *binomial._sweep(
-        range(m, 0, -1), lambda j: j * q / ((n - j + 1) * p), drift
+        range(m, 0, -1), lambda j: j * c / ((n - j + 1) * a)
     ))
     above = binomial._inward_tails(anchor, *binomial._sweep(
-        range(m, n), lambda j: (n - j) * p / ((j + 1) * q), -drift
+        range(m, n), lambda j: (n - j) * a / ((j + 1) * c)
     ))
     above.reverse()
     lower = below + [1.0 - x for x in above] + [1.0]
