@@ -32,24 +32,17 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     Uses the same integer-snapped ceiling as the PRW p-value, so the two
     step functions jump at identical grid points.  ``clamp=False`` reports
     the raw ``e * cdf`` value for diagnostics.  A clamped call at or past
-    the law's cap, the first k with e * cdf(k) >= 1, is 1; steps up to the
-    mode are read from the law's step record (``prw._law_steps``), and
-    steps past it computed on each call.
+    the law's cap, the first k with e * cdf(k) >= 1, kept in the law's step
+    record (``prw._law_steps``), is 1; any other call is one ``cdf`` query.
     """
     k = _snapped_ceil(spec.n, _check_closed_unit(rhat, "rhat"))[0]
-    law, lo, _, steps, cap = record = spec._steps or spec._load_steps()
+    law, _, _, cap = record = spec._steps or spec._load_steps()
     if clamp:
         if cap is None:  # racing threads store the same cap
-            cap = record[4] = _first_cdf(law.n, law.p, lambda x: math.e * x >= 1.0)
+            cap = record[3] = _first_cdf(law.n, law.p, lambda x: math.e * x >= 1.0)
         if k >= cap:
             return 1.0
-    try:
-        value = steps[k - lo] if k >= lo else 0.0  # e * cdf is 0.0 below lo
-    except IndexError:  # past the mode: not stored
-        return math.e * cdf(law, k)
-    if value != value:  # NaN: not yet computed
-        value = steps[k - lo] = math.e * cdf(law, k)
-    return value
+    return math.e * cdf(law, k)
 
 
 def kl_bernoulli(a: float, b: float) -> float:

@@ -90,13 +90,12 @@ GBoundContext = TestSpec
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _law_steps(n: int, alpha: float) -> list:
-    """Step record ``[law, lo, prw, bentkus, cap]`` of law = Bin(n, alpha), for all its specs:
-    the raw PRW and Bentkus steps at lo <= k <= m, the mode, at index k - lo (NaN until computed;
-    below lo every step is 0.0), and Bentkus's cap, None until a clamped Bentkus call needs it."""
+    """Step record ``[law, lo, prw, cap]`` of law = Bin(n, alpha), for all its specs: the raw
+    PRW steps at lo <= k <= m, the mode, at index k - lo (NaN until computed; below lo every
+    step is 0.0), and Bentkus's cap, None until a clamped Bentkus call needs it."""
     law = BinomialParams(n, alpha)  # first: a spec takes an n BinomialParams rejects
     lo, tails = _half(n, alpha, _BELOW)
-    unfilled = array("d", [math.nan]) * (len(tails) + 1)
-    return [law, lo, unfilled, array("d", unfilled), None]
+    return [law, lo, array("d", [math.nan]) * (len(tails) + 1), None]
 
 
 def gamma_r(n: int, mean: float) -> int:
@@ -183,7 +182,7 @@ def _g(k: int, snapped: bool, ctx: TestSpec) -> float:  # g at the snapped ceili
     last = ctx.gamma - 1
     on_boundary = k > last or snapped and k == last
     k = last if on_boundary else k
-    law, lo, steps, _, _ = ctx._steps or ctx._load_steps()
+    law, lo, steps, _ = ctx._steps or ctx._load_steps()
     value = steps[k - lo] if k >= lo else 0.0  # k <= last <= m
     if value != value:  # NaN: not yet computed
         value = steps[k - lo] = _lower_step(law, k)

@@ -29,10 +29,9 @@ def clear_law_caches():
     prw._law_steps.cache_clear()
 
 
-def filled(spec, which: str) -> set:
-    """The k whose raw PRW or Bentkus step the spec's law record holds."""
-    law, lo, prw_steps, bentkus_steps, cap = spec._steps
-    steps = prw_steps if which == "prw" else bentkus_steps
+def filled(spec) -> set:
+    """The k whose raw PRW step the spec's law record holds."""
+    law, lo, steps, cap = spec._steps
     return {lo + i for i, x in enumerate(steps) if x == x}
 
 

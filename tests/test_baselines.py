@@ -294,7 +294,7 @@ def assert_memo_matches_reference(spec: TestSpec, points) -> None:
             if rhat >= spec.t_max:
                 assert prw_pvalue(rhat, spec) == 1.0, (spec, rhat, repeat)
     if spec._steps is not None:
-        assert max(filled(spec, "prw"), default=0) <= spec.gamma - 1, spec
+        assert max(filled(spec), default=0) <= spec.gamma - 1, spec
 
 
 class TestStepMemo:
@@ -348,7 +348,7 @@ class TestStepMemo:
         clear_law_caches()
         fresh = TestSpec(n=100, alpha=0.075)
         assert_memo_matches_reference(fresh, [0.069, 0.0699, 0.05, 0.0700000001, 0.07])
-        law, lo, steps, _, _ = fresh._steps
+        law, lo, steps, _ = fresh._steps
         assert steps[7 - lo] == lower_tail_bound(100, 0.075, 7)
         assert (prw_pvalue(1.0, fresh, clamp=False), prw_pvalue(1.0, fresh)) == (want, 1.0)
 
@@ -371,9 +371,9 @@ class TestStepMemo:
     def test_unclamped_first_call_stores_the_raw_value(self, cold):
         spec = TestSpec(n=100, alpha=0.1)
         raw = prw_pvalue(0.5, spec, clamp=False)
-        law, lo, steps, _, _ = spec._steps
+        law, lo, steps, _ = spec._steps
         assert raw == steps[9 - lo] == lower_tail_bound(100, 0.1, 9) > 1.0
-        assert filled(spec, "prw") == {9}
+        assert filled(spec) == {9}
         assert (prw_pvalue(0.5, spec), prw_pvalue(0.09, spec, clamp=False)) == (1.0, raw)
 
     @pytest.mark.parametrize("clone", [
@@ -404,9 +404,10 @@ class TestStepMemo:
         for rhat in order + order:
             assert prw_pvalue(rhat, spec, clamp=False) == want[rhat]
 
-    def test_a_sweep_keeps_its_law_record_within_three_times_the_table(self, cold):
+    def test_a_sweep_keeps_its_law_record_within_one_and_a_half_times_the_table(self, cold):
         # one spec over 1e5 grid points at n = 1e6: 86 602 of them lie below
-        # the window edge lo and store nothing, the rest one double per method
+        # the window edge lo and store nothing, the rest one PRW double each;
+        # Bentkus stores no step, so the record is about one table half
         n, alpha = 10**6, 0.1
         tracemalloc.start()
         try:
@@ -422,8 +423,8 @@ class TestStepMemo:
             tracemalloc.stop()
         lo = spec._steps[1]
         # the last point, t_max, is capped and reads no step
-        assert (lo, len(filled(spec, "prw"))) == (86_602, 100_000 - 1 - 86_602)
-        assert 8 * (100_000 - lo) <= table and record <= 3 * table
+        assert (lo, len(filled(spec))) == (86_602, 100_000 - 1 - 86_602)
+        assert 8 * (100_000 - lo) <= table and record <= 1.5 * table
 
     def test_memo_leaves_equality_hash_and_repr_alone(self):
         queried, fresh = TestSpec(n=100, alpha=0.1), TestSpec(n=100, alpha=0.1)
@@ -435,10 +436,11 @@ class TestStepMemo:
 
 
 class TestCdfBindings:
-    """A cold PRW or Bentkus step calls ``cdf`` once, through the module
-    binding ``prw.cdf`` or ``baselines.cdf``, so that a wrapper set on that
-    binding sees every tail query; warm and clamped capped calls, and steps
-    below the law's window, make no call."""
+    """A cold PRW step calls ``cdf`` once, through the module binding
+    ``prw.cdf``, and every Bentkus call below its cap, cold or warm, once
+    through ``baselines.cdf``, so that a wrapper set on that binding sees
+    every tail query; warm PRW steps, PRW steps below the law's window and
+    clamped capped calls make no call."""
 
     @pytest.fixture
     def calls(self, cold, monkeypatch):
@@ -477,11 +479,9 @@ class TestCdfBindings:
             assert prw_pvalue(rhat, spec, clamp=False) == want
         assert calls == {"prwtest.prw": 1}
 
-    def test_warm_and_capped_calls_make_none(self, calls):
-        # a clamped Bentkus call at or past the cap fills no record entry, so
-        # the warm-up makes unclamped calls too.  The record stops at the mode,
-        # m = 10: an unclamped Bentkus step past it (rhat 0.5, 0.4999 and 1.0)
-        # is computed on every call, with one query each
+    def test_warm_prw_and_capped_calls_make_none(self, calls):
+        # at (100, 0.1) t_max = 0.09 and Bentkus's cap is 9, so every clamped
+        # Bentkus call from rhat 0.0899 on is capped
         spec = TestSpec(n=100, alpha=0.1)
         for rhat in (0.0, 0.05, 0.0899, 0.09, 0.5, 1.0):
             for clamp in (True, False):
@@ -491,21 +491,47 @@ class TestCdfBindings:
         for rhat in (0.0, 0.049, 0.05, 0.0899, 0.09, 0.5, 0.4999, 1.0):
             for clamp in (True, False):
                 prw_pvalue(rhat, spec, clamp=clamp)
-                bentkus_pvalue(rhat, spec, clamp=clamp)
-        assert calls == {"prwtest.baselines": 3}
+        for rhat in (0.0899, 0.09, 0.5, 0.4999, 1.0):
+            assert bentkus_pvalue(rhat, spec) == 1.0
+        assert calls == {}
+
+    @pytest.mark.parametrize("n, alpha, ks", [
+        (100, 0.1, range(101)),
+        (15, 0.1, range(16)),  # the cap is the mode, 1
+        (10, 0.05, range(11)),  # m = 0: the cap comes from the half above the mode
+        (10**6, 0.1, (0, 1, 50_000, 86_601, 86_602, 99_999, 100_000, 100_001, 999_999, 10**6)),
+    ])
+    def test_each_uncapped_bentkus_call_queries_cdf_once(self, calls, n, alpha, ks):
+        # cold or warm, below the record window (lo = 86 602 at n = 1e6), up
+        # to the mode or past it: a Bentkus call that is not clamped at or past
+        # the cap is e * cdf, read by one query; Bentkus stores no step
+        law, spec = BinomialParams(n, alpha), TestSpec(n, alpha)
+        assert bentkus_pvalue(1.0, spec) == 1.0 and calls == {}  # finds the cap, no query
+        cap = spec._steps[3]
+        for _ in ("cold", "warm"):
+            for k in ks:
+                raw = math.e * cdf(law, k)
+                for clamp in (True, False):
+                    calls.clear()
+                    got = bentkus_pvalue(k / n, spec, clamp=clamp)
+                    if clamp and k >= cap:
+                        assert (got, calls) == (1.0, {}), k
+                    else:
+                        assert (got.hex(), calls) == (raw.hex(), {"prwtest.baselines": 1}), k
 
     def test_clamped_calls_at_or_past_the_cap_make_none(self, calls):
         # at (100, 0.1) the cap is 9: e * cdf(8) < 1 <= e * cdf(9)
         spec = TestSpec(n=100, alpha=0.1)
         for rhat in (0.09, 0.0899, 0.5, 1.0):
             assert bentkus_pvalue(rhat, spec) == 1.0
-        assert (calls, filled(spec, "bentkus"), spec._steps[4]) == ({}, set(), 9)
+        assert (calls, spec._steps[3]) == ({}, 9)
         assert bentkus_pvalue(0.08, spec) == math.e * cdf(BinomialParams(100, 0.1), 8) < 1.0
         assert calls == {"prwtest.baselines": 1}
 
     def test_a_new_spec_reads_the_steps_its_law_record_holds(self, calls):
+        # PRW's steps up to the mode, 500; Bentkus reads its cap from the record
+        # and queries cdf on each call below it, as on the first spec
         first = TestSpec(5000, 0.1)
-        # up to the mode, 500, past which an unclamped Bentkus step is not stored
         rhats = [j / 5000 for j in range(0, 501, 3)] + [(j + 0.37) / 5000 for j in range(400, 500)]
         want = [(prw_pvalue(r, first, clamp=c), bentkus_pvalue(r, first, clamp=c))
                 for r in rhats for c in (True, False)]
@@ -515,22 +541,22 @@ class TestCdfBindings:
         got = [(prw_pvalue(r, fresh, clamp=c), bentkus_pvalue(r, fresh, clamp=c))
                for r in rhats for c in (True, False)]
         assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
-        assert calls == {} and fresh._steps is first._steps
+        queried = sum(not c or b < 1.0 for (_, b), c in zip(got, [True, False] * len(rhats)))
+        assert calls == {"prwtest.baselines": queried} and fresh._steps is first._steps
 
     def test_steps_below_the_record_window_are_zero_with_no_tail_query(self, calls):
         n, alpha = 10**6, 0.1
         spec = TestSpec(n, alpha)
         prw_pvalue(0.0999, spec)  # reads the record, whose window starts at lo
-        law, lo, _, _, _ = spec._steps
+        law, lo, _, _ = spec._steps
         assert lo == 86_602
         calls.clear()
         ks = (0, 1, 50_000, lo - 1)
         for k in ks:
             for clamp in (True, False):
-                for pvalue in (prw_pvalue, bentkus_pvalue):
-                    assert pvalue(k / n, spec, clamp=clamp).hex() == "0x0.0p+0", (k, pvalue)
+                assert prw_pvalue(k / n, spec, clamp=clamp).hex() == "0x0.0p+0", k
         assert calls == {}
-        for k in ks:  # the unstored value is the formula's
+        for k in ks:  # the unstored value is the formula's, as is Bentkus's
             step = lower_tail_bound(n, alpha, k)
             assert step.hex() == (math.e * cdf(law, k)).hex() == "0x0.0p+0", k
 
@@ -547,7 +573,7 @@ class TestBentkusCap:
         law = BinomialParams(n, alpha)
         spec = TestSpec(n, alpha)
         bentkus_pvalue(1.0, spec)  # the first clamped call finds the law's cap
-        cap = spec._steps[4]
+        cap = spec._steps[3]
         raw = [math.e * cdf(law, k) for k in range(n + 1)]
         assert all(x < 1.0 for x in raw[:cap]) and all(x >= 1.0 for x in raw[cap:])
         for k in (cap - 1, cap, cap + 1):
@@ -575,8 +601,8 @@ def test_threads_on_one_cold_law_read_the_single_threaded_values():
         return [f(law, x) if clamp is None else f(x, spec, clamp=clamp) for f, x, clamp in batch]
 
     def record_bytes(spec):
-        law, lo, prw_steps, bentkus_steps, cap = spec._steps
-        return law, lo, prw_steps.tobytes(), bentkus_steps.tobytes(), cap
+        law, lo, steps, cap = spec._steps
+        return law, lo, steps.tobytes(), cap
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

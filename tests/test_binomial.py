@@ -563,7 +563,7 @@ class TestTableLayout:
         for delta in (0.01, 0.05, 0.1):
             g_inverse(delta, spec)
         assert table[binomial._BELOW] is not None and table[binomial._ABOVE] is None
-        assert spec._steps[4] < table[0]  # the law's Bentkus cap
+        assert spec._steps[3] < table[0]  # the law's Bentkus cap
 
     def test_a_table_stores_one_double_per_window_entry(self):
         # the half below the mode alone, as a PRW query leaves it, then both

@@ -433,7 +433,7 @@ def test_g_inverse_on_filled_steps_equals_a_fresh_spec(n, alpha, delta):
     for j in range(n + 1):
         prw_pvalue(j / n, warm)
     if warm.gamma > 1:  # else every call is capped and no record is read
-        assert filled(warm, "prw") == set(range(warm._steps[1], warm.gamma - 1))
+        assert filled(warm) == set(range(warm._steps[1], warm.gamma - 1))
     clear_law_caches()
     fresh = TestSpec(n, alpha)
     assert g_inverse_or_error(delta, warm) == g_inverse_or_error(delta, fresh)
