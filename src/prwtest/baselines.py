@@ -33,7 +33,7 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     step functions jump at identical grid points.  ``clamp=False`` reports
     the raw ``e * cdf`` value for diagnostics.  A clamped call at or past
     the law's cap, the first k with e * cdf(k) >= 1, kept in the law's step
-    record (``prw._law_steps``), is 1; any other call is one ``cdf`` query.
+    record (``TestSpec._load_steps``), is 1; any other call is one ``cdf`` query.
     """
     k = _snapped_ceil(spec.n, _check_closed_unit(rhat, "rhat"))[0]
     law, _, _, cap = record = spec._steps or spec._load_steps()

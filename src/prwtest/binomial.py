@@ -1,18 +1,18 @@
 """Numerically stable exact binomial tail probabilities.
 
-Every tail of one law ``Bin(n, p)`` is read from a single table with one
-correctly rounded anchor at the mode.  Each side of the mode is a half of
-the table, built the first time a query reads it: the term-ratio recurrence
-fills that side of the support out to where the mass drops below the
-smallest subnormal double, and each tail is accumulated from its far end
-inward and stored once, so values deep in a tail keep full relative
-precision instead of being lost to cancellation against 1.  A query below
-the mode, which every PRW p-value is, never builds the half above it.  The
-anchor comes from a tight enclosure of the exact rational term, so its cost
-barely grows with n.  Tables live in a bounded LRU cache of
-``_TABLE_CACHE_SIZE`` laws, so once a half is built ``cdf`` and ``sf`` read
-it as lookups.  This module is the single special-function dependency of
-every bound in the package.
+Every tail of one law ``Bin(n, p)`` is read from a single table.  Each side
+of the mode m is a half of the table, built from a correctly rounded anchor
+at m the first time a query reads it: the term-ratio recurrence fills that
+side of the support out to where the mass drops below the smallest
+subnormal double, and each tail is accumulated from its far end inward and
+stored once, so values deep in a tail keep full relative precision instead
+of being lost to cancellation against 1.  A query below m never builds the
+half above it; a PRW step reads k <= gamma - 1 <= m, so builds it only when
+gamma - 1 = m.  The anchor comes from a tight enclosure of the exact
+rational term, so its cost barely grows with n.  Tables, the package's one
+per-law cache, live in an LRU of ``_TABLE_CACHE_SIZE`` laws, so once a half
+is built ``cdf`` and ``sf`` read it as lookups.  This module is the single
+special-function dependency of every bound in the package.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ __all__ = ["BinomialParams", "cdf", "sf"]
 
 # Distinct (n, p) laws whose tail tables are kept.
 _TABLE_CACHE_SIZE = 64
-# Positions of the two halves in a table (see ``_tail_table``).
-_BELOW, _ABOVE = 1, 2
+# Positions of the two halves and of the PRW step record in a table (see ``_tail_table``).
+_BELOW, _ABOVE, _STEPS = 1, 2, 3
 
 # Terms are carried as mantissa * 2**exponent relative to the mode term; a
 # mantissa that drops below _RESCALE is renormalised with frexp.  Terms below
@@ -314,7 +314,7 @@ def _log_factorial(x: int) -> decimal.Decimal:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _tail_table(n: int, p: float) -> list:
-    """Tail table ``[m, below, above, anchor]`` of Bin(n, p) for 0 <= p <= 1.
+    """Tail table ``[m, below, above, steps]`` of Bin(n, p) for 0 <= p <= 1.
 
     m is the mode.  ``below`` is ``(lo, tails)`` with ``tails[k - lo]`` =
     P(X <= k) for lo <= k < m, and ``above`` is ``(hi, tails)`` with
@@ -325,10 +325,12 @@ def _tail_table(n: int, p: float) -> list:
     2**_CUT_EXP times the mode term (at p = 0 or 1 all but the mode, so
     lo = m = hi and both halves are empty), so P(X <= k) is 0 left of the
     window and 1 from hi on.  A half is None until ``_half`` builds it for
-    the first read that needs it; ``anchor``, P(X = m), is None until the
-    first half is built, and then shared by both.  A list, so that the
-    cached table fills in place; each half holds its far edge, not its
-    length, because unpacking is most of the cost of a warm query.
+    the first read that needs it.  ``steps`` is None until a ``TestSpec`` of
+    the law reads a PRW step; then it is the law's step record, which every
+    spec of the law shares (see ``TestSpec._load_steps``), so a law's record
+    and its tails leave the cache together.  A list, so that the cached
+    table fills in place; each half holds its far edge, not its length,
+    because unpacking is most of the cost of a warm query.
     """
     m = min(n, math.floor((n + 1) * p))
     if p == 0.0 or p == 1.0:
@@ -340,21 +342,20 @@ def _tail_table(n: int, p: float) -> list:
 def _half(n: int, p: float, side: int) -> tuple[int, array]:
     """Half ``side`` (_BELOW or _ABOVE) of Bin(n, p)'s ``_tail_table``, built on first use.
 
-    One exact anchor at the mode m, shared by both halves; every other term
+    Each half takes its own anchor at the mode m, P(X = m) correctly
+    rounded, so both halves start from the same bits; every other term
     w_j = P(X = j)/P(X = m) comes from the term-ratio recurrence, carried as
     a mantissa and a power of two so deep-tail terms keep their relative
     precision.  Each ratio is one correctly rounded quotient of integers,
     from p = a/d taken exactly, so no rounding of 1 - p biases every step
-    the same way.  Threads that race on one half build it from the same
-    anchor with the same operations, so whichever copy is stored holds the
-    same values.
+    the same way.  Threads that race on one half build it with the same
+    operations, so whichever copy is stored holds the same values.
     """
     table = _tail_table(n, p)
     if table[side]:  # built already
         return table[side]
-    m, anchor = table[0], table[3]
-    if anchor is None:
-        anchor = table[3] = _anchor(n, p, m)
+    m = table[0]
+    anchor = _anchor(n, p, m)
     a, d = p.as_integer_ratio()
     c = d - a
     if side == _BELOW:  # P(X <= k) for k = lo, ..., m - 1

@@ -13,11 +13,10 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from functools import lru_cache
 
 from .binomial import (
-    _BELOW, _TABLE_CACHE_SIZE, BinomialParams, Record, _check_closed_unit, _check_open_unit,
-    _check_positive_int, _half, cdf, sf,
+    _BELOW, _STEPS, BinomialParams, Record, _check_closed_unit, _check_open_unit,
+    _check_positive_int, _half, _tail_table, cdf, sf,
 )
 
 __all__ = [
@@ -58,7 +57,7 @@ class TestSpec(Record):
     ``t_max = (gamma - 1)/n`` is the right endpoint of the bound's domain;
     the bound is only defined left of the binomial mean.  The slot ``_steps``
     is not a field: None until a step is read, then the step record of
-    Bin(n, alpha) (see ``_law_steps``), which every spec of that law shares.
+    Bin(n, alpha), which every spec of that law shares (see ``_load_steps``).
     """
 
     _fields = ("n", "alpha", "gamma", "t_max")
@@ -74,8 +73,17 @@ class TestSpec(Record):
     def __reduce__(self):  # gamma and t_max are derived
         return type(self), (self.n, self.alpha)
 
-    def _load_steps(self) -> list:  # at the first step read: the law's record, kept in the slot
-        object.__setattr__(self, "_steps", _law_steps(self.n, self.alpha))
+    def _load_steps(self) -> list:
+        """Step record ``[law, lo, prw, cap]`` of law = Bin(n, alpha), kept in this slot and in
+        the law's tail table for all its specs: the raw PRW steps at lo <= k <= m, the mode, at
+        index k - lo (NaN until computed; below lo every step is 0.0), and Bentkus's cap, None
+        until a clamped Bentkus call needs it.  The first step read of the law builds it."""
+        table = _tail_table(self.n, self.alpha)
+        if table[_STEPS] is None:
+            law = BinomialParams(self.n, self.alpha)  # first: it rejects an n too large for a table
+            lo, tails = _half(self.n, self.alpha, _BELOW)
+            table[_STEPS] = [law, lo, array("d", [math.nan]) * (len(tails) + 1), None]
+        object.__setattr__(self, "_steps", table[_STEPS])
         return self._steps
 
     @classmethod
@@ -86,16 +94,6 @@ class TestSpec(Record):
 
 # The bound's name for the same context, kept for existing callers.
 GBoundContext = TestSpec
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _law_steps(n: int, alpha: float) -> list:
-    """Step record ``[law, lo, prw, cap]`` of law = Bin(n, alpha), for all its specs: the raw
-    PRW steps at lo <= k <= m, the mode, at index k - lo (NaN until computed; below lo every
-    step is 0.0), and Bentkus's cap, None until a clamped Bentkus call needs it."""
-    law = BinomialParams(n, alpha)  # first: a spec takes an n BinomialParams rejects
-    lo, tails = _half(n, alpha, _BELOW)
-    return [law, lo, array("d", [math.nan]) * (len(tails) + 1), None]
 
 
 def gamma_r(n: int, mean: float) -> int:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from prwtest import binomial, prw
+from prwtest import binomial
 
 # Lets test modules import the shared oracle helpers as plain modules.
 sys.path.insert(0, str(Path(__file__).parent))
@@ -23,10 +23,9 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def clear_law_caches():
-    """Drop every tail table and every per-law step record: the next call on any law is cold.
-    A spec that already read its record keeps it."""
+    """Drop every tail table, and with it its law's step record: the next call on any law is
+    cold.  A spec that already read its record keeps it."""
     binomial._tail_table.cache_clear()
-    prw._law_steps.cache_clear()
 
 
 def filled(spec) -> set:

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prwtest import binomial, prw
+from prwtest import binomial
 from prwtest.baselines import bentkus_pvalue
 from prwtest.binomial import BinomialParams, _tail_table, cdf, sf
 from prwtest.prw import TestSpec, g_inverse, prw_pvalue
 
-from _oracle import binom_cdf_exact, binom_sf_exact, rel_err
+from _oracle import binom_cdf_exact, binom_sf_exact, lower_tail_bound_exact, rel_err
+from conftest import filled
 
 REL = 1e-12
 
@@ -482,9 +483,10 @@ def two_array_table(n, p):
 
 
 def fresh_table(n, p):
-    """The law's cached table, emptied of both halves: the next read builds them again."""
+    """The law's cached table, emptied of both halves and of its step record: the next read
+    builds them again."""
     table = _tail_table(n, p)
-    table[binomial._BELOW] = table[binomial._ABOVE] = None
+    table[binomial._BELOW] = table[binomial._ABOVE] = table[binomial._STEPS] = None
     return table
 
 
@@ -551,7 +553,6 @@ class TestTableLayout:
         # the laws of the benchmark's curves workload (plotdata, compare and
         # g_inverse) and of its calibrate workload, (5000, 0.1): PRW reads
         # k <= gamma - 1 < m there, and Bentkus's cap lies below the mode
-        prw._law_steps.cache_clear()  # a record already holding the steps would read no table
         table = fresh_table(n, alpha)
         spec = TestSpec(n, alpha)
         assert spec.gamma - 1 < table[0]
@@ -564,6 +565,52 @@ class TestTableLayout:
             g_inverse(delta, spec)
         assert table[binomial._BELOW] is not None and table[binomial._ABOVE] is None
         assert spec._steps[3] < table[0]  # the law's Bentkus cap
+
+    def test_a_prw_step_at_the_mode_builds_the_above_half(self):
+        # at (100, 0.105) gamma - 1 = 10 is the mode: 0.0999999999999 snaps onto
+        # the boundary k = 10, and cdf(10) reads the half above the mode
+        table = fresh_table(100, 0.105)
+        spec = TestSpec(100, 0.105)
+        assert spec.gamma - 1 == table[0] == 10
+        assert prw_pvalue(0.0999999999999, spec) == 1.0
+        assert table[binomial._ABOVE] is not None
+        raw = prw_pvalue(0.0999999999999, spec, clamp=False)
+        assert raw.hex() == "0x1.38e2c6ba31acbp+3"
+        assert rel_err(raw, lower_tail_bound_exact(100, 0.105, 10)) <= REL
+
+    @pytest.mark.parametrize("n, p", [(1000, 0.37), (100, 0.1), (15, 0.1), (10, 0.05)])
+    def test_the_record_slot_stays_empty_until_a_spec_reads_a_step(self, n, p):
+        # cdf and sf build both halves and leave the slot empty; the first step
+        # read of a spec puts the law's record there, and every spec shares it
+        table = fresh_table(n, p)
+        params = BinomialParams(n, p)
+        for k in range(-1, n + 2):
+            cdf(params, k)
+            sf(params, k)
+        spec = TestSpec(n, p)
+        assert (table[binomial._ABOVE] is not None, table[binomial._STEPS]) == (True, None)
+        prw_pvalue(0.0, spec, clamp=False)
+        record = table[binomial._STEPS]
+        assert spec._steps is record and record[:2] == [params, table[binomial._BELOW][0]]
+        other = TestSpec(n, p)
+        assert bentkus_pvalue(1.0, other) == 1.0 and other._steps is record
+
+    def test_a_cleared_table_cache_gives_a_new_spec_a_new_empty_record(self, cold):
+        n, alpha = 100, 0.1
+        warm = TestSpec(n, alpha)
+        want = [(prw_pvalue(j / n, warm), bentkus_pvalue(j / n, warm)) for j in range(n + 1)]
+        old = warm._steps
+        steps = set(range(warm.gamma - 1))  # a clamped call at t_max reads no step
+        assert (filled(warm), old[3]) == (steps, 9)
+        _tail_table.cache_clear()
+        fresh = TestSpec(n, alpha)
+        bentkus_pvalue(0.05, fresh, clamp=False)  # reads the record, fills no step
+        record = fresh._steps
+        assert record is _tail_table(n, alpha)[binomial._STEPS] and record is not old
+        assert (record[0], record[1], filled(fresh), record[3]) == (old[0], old[1], set(), None)
+        assert [(prw_pvalue(j / n, fresh), bentkus_pvalue(j / n, fresh))
+                for j in range(n + 1)] == want
+        assert warm._steps is old and filled(warm) == steps
 
     def test_a_table_stores_one_double_per_window_entry(self):
         # the half below the mode alone, as a PRW query leaves it, then both
