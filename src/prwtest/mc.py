@@ -8,8 +8,13 @@ O(max(n, 2**18)) values, independent of ``reps``.  Bernoulli losses are
 uniform-threshold draws, beta losses use ``Generator.beta``, and discrete
 losses are ``Generator.choice``'s bits, drawn by comparison with its CDF at
 a cost linear in the support size; changing any of these would invalidate
-pinned fixtures, so they are part of the contract.  numpy is imported by the
-first draw, not by this module, so commands that never draw start without it.
+pinned fixtures, so they are part of the contract.  Each rhat is its row's
+``mean(axis=1)``, bit for bit.  Bernoulli rows, and discrete rows with
+n * max(x * D) < 2**53 (D the largest denominator of the support), are
+counted from their uniforms with no loss matrix: their sums are exact, so
+they do not depend on numpy's summation order; beta and other discrete rows
+are averaged and do.  numpy is imported by the first draw, not by this
+module, so commands that never draw start without it.
 """
 
 from __future__ import annotations
@@ -108,6 +113,31 @@ class LossDistribution(Record):
             index += u >= c
         return np.asarray(np.array(support).take(index))  # take gives a scalar at size ()
 
+    def _row_means(self, rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+        """``sample(rng, (rows, n)).mean(axis=1)``, bit for bit, from the same stream.
+
+        On the module docstring's lattice a row's partial sums are exact, so
+        numpy's sum is sum(x * count_x); 2**53 Bernoulli losses never fit in memory.
+        """
+        if self.kind == "beta":
+            return self.sample(rng, (rows, n)).mean(axis=1)
+        import numpy as np
+        if self.kind == "bernoulli":
+            return np.count_nonzero(rng.random((rows, n)) < self.params[0], axis=1) / n
+        support, probs = self.params
+        ratios = [x.as_integer_ratio() for x in support]  # Python integers: D may be 2**1074
+        den = max(d for _, d in ratios)
+        if n * max(a * (den // d) for a, d in ratios) >= 1 << 53:
+            return self.sample(rng, (rows, n)).mean(axis=1)
+        cdf = np.cumsum(probs)
+        u = rng.random((rows, n))
+        # reach[i] counts a row's losses at index >= i: u >= sample's thresholds, which rise
+        reach = [n, *(np.count_nonzero(u >= c, axis=1) for c in cdf[:-1] / cdf[-1]), 0]
+        total = np.zeros(rows)  # an array even for a point mass, whose terms are scalars
+        for x, at_least, beyond in zip(support, reach, reach[1:]):
+            total += x * (at_least - beyond)
+        return total / n
+
 
 class McReport(Record):
     """Empirical exceedance frequencies P(p <= delta) over a delta grid."""
@@ -129,12 +159,12 @@ def _sample_pvalues(
     if not hasattr(seed, "__index__") or operator.index(seed) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     fns = {name: PVALUE_METHODS[name] for name in map(canonical_method, methods)}
-    import numpy as np  # the only numpy import: commands that never draw never load it
+    import numpy as np  # not at module level: commands that never draw never load it
 
     rng = np.random.default_rng(operator.index(seed))
     rows = max(1, _CHUNK_VALUES // spec.n)
     for start in range(0, reps, rows):
-        rhats = dist.sample(rng, (min(rows, reps - start), spec.n)).mean(axis=1)
+        rhats = dist._row_means(rng, min(rows, reps - start), spec.n)
         rhats = rhats.tolist()  # Python floats are cheaper to pass than np.float64
         yield {name: np.array([fn(r, spec) for r in rhats]) for name, fn in fns.items()}
 

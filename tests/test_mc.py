@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from prwtest import mc
@@ -16,6 +16,28 @@ from prwtest.mc import (
     simulate_superuniformity,
 )
 from prwtest.prw import TestSpec, prw_pvalue
+
+
+# Dyadic support values (counted rows), off-lattice ones (averaged rows), -0.0,
+# the least subnormal, 1 - 2**-50 (whose rows are counted up to n = 8) and any float.
+SUPPORT_VALUES = (
+    st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, 0.3, 5e-324, 1 - 2**-50))
+    | st.integers(1, 1074).map(lambda k: 2.0**-k)
+    | st.floats(0, 1)
+)
+
+
+@st.composite
+def discrete_laws(draw, max_points):
+    """Discrete laws with repeated values, zero probabilities and point masses."""
+    weight = st.sampled_from((0.0, 1.0)) | st.floats(0, 1, allow_subnormal=False)
+    points = draw(st.lists(st.tuples(SUPPORT_VALUES, weight), min_size=1, max_size=max_points))
+    support = [x for x, _ in points]
+    weights = [w for _, w in points]
+    total = math.fsum(weights)
+    if total == 0.0:
+        weights[0] = total = 1.0
+    return LossDistribution.scaled_discrete(support, [w / total for w in weights])
 
 
 class TestLossDistribution:
@@ -78,29 +100,51 @@ class TestLossDistribution:
             assert np.all((x >= 0) & (x <= 1))
 
     @given(
-        points=st.lists(
-            st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.0, 0.3)) | st.floats(0, 1),
-                      st.sampled_from((0.0, 1.0)) | st.floats(0, 1, allow_subnormal=False)),
-            min_size=1, max_size=40,
-        ),
+        dist=discrete_laws(max_points=40),
         size=st.just(()) | st.integers(0, 50) | st.tuples(st.integers(0, 6), st.integers(0, 9)),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_discrete_draws_are_generator_choice(self, points, size, seed):
+    def test_discrete_draws_are_generator_choice(self, dist, size, seed):
         """Same bits, dtype, shape and stream use as Generator.choice on the
         installed numpy, over supports with repeated values and zero probabilities."""
-        support = [x for x, _ in points]
-        weights = [w for _, w in points]
-        total = math.fsum(weights)
-        if total == 0.0:
-            weights[0] = total = 1.0
-        dist = LossDistribution.scaled_discrete(support, [w / total for w in weights])
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = dist.sample(got_rng, size)
         want = want_rng.choice(dist.params[0], p=dist.params[1], size=size)
         assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @given(
+        dist=st.floats(0, 1).map(LossDistribution.bernoulli) | discrete_laws(max_points=6),
+        rows=st.integers(1, 5),
+        n=st.integers(1, 20) | st.integers(120, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(dist=LossDistribution.scaled_discrete((-0.0,), (1.0,)), rows=2, n=3, seed=0)
+    def test_row_means_are_the_loss_matrix_row_means(self, dist, rows, n, seed):
+        """Counted or averaged, the rows equal sample's row means bit for bit
+        and leave the stream where sample leaves it."""
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = dist._row_means(got_rng, rows, n)
+        want = dist.sample(want_rng, (rows, n)).mean(axis=1)
+        assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n, counted", [(8, True), (9, False)])
+    def test_lattice_boundary(self, monkeypatch, n, counted):
+        """8 * (2**50 - 1) < 2**53 <= 9 * (2**50 - 1): rows of 8 are counted,
+        rows of 9 averaged from the loss matrix, and both equal its row means."""
+        dist = LossDistribution.scaled_discrete((0.0, 1 - 2**-50, 0.5), (0.2, 0.5, 0.3))
+        want = dist.sample(np.random.default_rng(8), (40, n)).mean(axis=1)
+        sample, drawn = LossDistribution.sample, []
+        monkeypatch.setattr(
+            LossDistribution, "sample",
+            lambda self, rng, size: drawn.append(size) or sample(self, rng, size),
+        )
+        got = dist._row_means(np.random.default_rng(8), 40, n)
+        assert drawn == ([] if counted else [(40, n)])
+        assert got.tobytes() == want.tobytes()
 
     def test_sample_mean_near_analytic(self):
         rng = np.random.default_rng(123)
@@ -297,6 +341,7 @@ STREAM_LAWS = {
     "beta-shapes-ge-1": LossDistribution.beta(1.1, 9),
     "beta-shape-lt-1": LossDistribution.beta(0.5, 0.3),  # another numpy sampler branch
     "discrete": LossDistribution.scaled_discrete((0.0, 0.5, 1.0), (0.84, 0.11, 0.05)),
+    "discrete-off-lattice": LossDistribution.scaled_discrete((0.1, 0.3, 0.9), (0.5, 0.3, 0.2)),
     "point-mass": LossDistribution.scaled_discrete((0.75,), (1.0,)),
 }
 
