@@ -34,15 +34,17 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     the raw ``e * cdf`` value for diagnostics.  A clamped call at or past
     the law's cap, the first k with e * cdf(k) >= 1, kept in the law's step
     record (``TestSpec._load_steps``), is 1; any other call is one ``cdf`` query.
+    A clamped call with n * rhat at or past the cap makes no snap either.
     """
-    k = _snapped_ceil(spec.n, _check_closed_unit(rhat, "rhat"))[0]
+    rhat = _check_closed_unit(rhat, "rhat")
     law, _, _, cap = record = spec._steps or spec._load_steps()
     if clamp:
         if cap is None:  # racing threads store the same cap
             cap = record[3] = _first_cdf(law.n, law.p, lambda x: math.e * x >= 1.0)
-        if k >= cap:
+        if spec.n * rhat >= cap:  # the cap is an integer: round and ceil both reach it
             return 1.0
-    return math.e * cdf(law, k)
+    k = _snapped_ceil(spec.n, rhat)[0]
+    return 1.0 if clamp and k >= cap else math.e * cdf(law, k)
 
 
 def kl_bernoulli(a: float, b: float) -> float:

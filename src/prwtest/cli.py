@@ -102,7 +102,8 @@ def _read_plain_column(fh: BinaryIO, header: str) -> Optional[tuple[float, ...]]
     at_header = True
     while lines := fh.readlines(_BULK_BATCH_BYTES):
         chunk = b"".join(lines)
-        if chunk.count(b"\r") != chunk.count(b"\r\n"):  # the row scan splits at a lone CR
+        # the row scan splits at a lone CR; most files hold no CR, and one find says so
+        if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
             return None
         if len(chunk) >= limit and max(map(len, lines)) >= limit:
             return None
@@ -274,25 +275,26 @@ def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
 _CURVE_COLUMNS = ("rhat", *(method.replace("-", "_") for method in PVALUE_METHODS))
 
 
-def _curve_row(rhat: float, spec: TestSpec) -> tuple[float, ...]:
-    return (rhat, *(pvalue(rhat, spec) for pvalue in PVALUE_METHODS.values()))
+def _curves(grid: Sequence[float], spec: TestSpec) -> list[Sequence[float]]:
+    """The grid and each method's p-values over it: one column, and one pass, per method."""
+    return [grid, *([pvalue(r, spec) for r in grid] for pvalue in PVALUE_METHODS.values())]
 
 
-def _repr_or_flag(value: object) -> str:
-    return str(value).lower() if isinstance(value, bool) else repr(value)
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _emit(
     args: argparse.Namespace,
     columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    cell: Callable[[object], str],
+    rows: Iterable[tuple],
+    template: str,
     payload: Callable[[], dict],
 ) -> None:
     """Write a command's output: one JSON document, or a CSV table.
 
     ``payload()`` is called, and ``json`` imported, only for ``--format
-    json``.  CSV rows are written one at a time, each value through ``cell``.
+    json``.  CSV rows are written one at a time, each as ``template % row``.
     """
     if args.format == "json":
         import json
@@ -300,7 +302,7 @@ def _emit(
         return
     out = sys.stdout
     out.write(",".join(columns) + "\n")
-    out.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+    out.writelines(template % row for row in rows)
 
 
 def cmd_pvalue(args: argparse.Namespace) -> int:
@@ -324,8 +326,8 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
     values = {m.replace("-", "_"): PVALUE_METHODS[m](rhat, spec, clamp=clamp) for m in methods}
 
     digits = _resolve_digits(args.digits)
-    row = [round_half_away(v, digits) for v in (rhat, *values.values())]
-    _emit(args, ("rhat", *values), [row], str, lambda: {
+    row = tuple(round_half_away(v, digits) for v in (rhat, *values.values()))
+    _emit(args, ("rhat", *values), [row], ",".join(["%s"] * len(row)) + "\n", lambda: {
         "command": "pvalue", "n": spec.n, "alpha": spec.alpha, "rhat": rhat,
         "digits": digits, "unclamped": bool(args.unclamped),
         "pvalues": dict(zip(values, map(float, row[1:]))),
@@ -337,8 +339,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = TestSpec(n=args.n, alpha=args.alpha)
     grid = DEFAULT_COMPARE_GRID if args.grid is None else parse_grid(args.grid)
     digits = _resolve_digits(args.digits)
-    rows = [[round_half_away(v, digits) for v in _curve_row(r, spec)] for r in grid]
-    _emit(args, _CURVE_COLUMNS, rows, str, lambda: {
+    rows = list(zip(*([round_half_away(v, digits) for v in c] for c in _curves(grid, spec))))
+    _emit(args, _CURVE_COLUMNS, rows, ",".join(["%s"] * len(_CURVE_COLUMNS)) + "\n", lambda: {
         "command": "compare", "n": spec.n, "alpha": spec.alpha, "digits": digits,
         "rows": [dict(zip(_CURVE_COLUMNS, map(float, row))) for row in rows],
     })
@@ -351,9 +353,9 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         grid = tuple(i / (DEFAULT_PLOT_POINTS - 1) for i in range(DEFAULT_PLOT_POINTS))
     else:
         grid = parse_grid(args.grid)
-    rows = [(*_curve_row(rhat, spec), int(rhat > spec.t_max)) for rhat in grid]
+    rows = list(zip(*_curves(grid, spec), [int(r > spec.t_max) for r in grid]))
     # capped is 0/1 in CSV and true/false in JSON
-    _emit(args, (*_CURVE_COLUMNS, "capped"), rows, repr, lambda: {
+    _emit(args, (*_CURVE_COLUMNS, "capped"), rows, "%r," * len(_CURVE_COLUMNS) + "%d\n", lambda: {
         "command": "plotdata", "n": spec.n, "alpha": spec.alpha, "cap": spec.t_max,
         "rows": [{**dict(zip(_CURVE_COLUMNS, row)), "capped": row[-1] == 1} for row in rows],
     })
@@ -374,8 +376,9 @@ def cmd_fwer(args: argparse.Namespace) -> int:
         raise DataError("fallback requires --weights")
     plan = FwerPlan(pvalues=pvalues, delta=args.delta, weights=weights)
     outcome = _PROCEDURES[args.procedure](plan)
-    rows = zip(range(len(plan.pvalues)), plan.pvalues, outcome.local_levels, outcome.rejected)
-    _emit(args, ("index", "pvalue", "local_level", "rejected"), rows, _repr_or_flag, lambda: {
+    rows = zip(range(len(plan.pvalues)), plan.pvalues, outcome.local_levels,
+               map(_flag, outcome.rejected))
+    _emit(args, ("index", "pvalue", "local_level", "rejected"), rows, "%d,%r,%r,%s\n", lambda: {
         "command": "fwer", "procedure": args.procedure, "delta": plan.delta,
         "pvalues": plan.pvalues, "rejected": outcome.rejected,
         "local_levels": outcome.local_levels,
@@ -392,14 +395,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     columns = ("delta", "exceedance", "stderr", "pass")
     rows = [
-        (d, e, se, e <= d + 3.0 * se)
+        (d, e, se, _flag(e <= d + 3.0 * se))
         for d, e, se in zip(report.delta_grid, report.exceedance, report.stderr)
     ]
-    all_ok = all(row[3] for row in rows)
-    _emit(args, columns, rows, _repr_or_flag, lambda: {
+    all_ok = all(row[3] == "true" for row in rows)
+    # pass is a true/false cell in CSV and a boolean in JSON
+    _emit(args, columns, rows, "%r,%r,%r,%s\n", lambda: {
         "command": "validate", "dist": args.dist, "n": spec.n, "alpha": spec.alpha,
         "method": args.method, "reps": report.reps, "seed": report.seed,
-        "results": [dict(zip(columns, row)) for row in rows], "pass": all_ok,
+        "results": [{**dict(zip(columns, row)), "pass": row[3] == "true"} for row in rows],
+        "pass": all_ok,
     })
     return 0 if all_ok else 1
 

@@ -584,6 +584,34 @@ class TestBentkusCap:
                     assert got.hex() == want.hex(), (k, clamp)
 
 
+    @given(n=st.integers(1, 10**6), alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           data=st.data())
+    def test_a_capped_call_skips_the_snap_and_keeps_the_snapped_step(self, n, alpha, data):
+        # A clamped call is 1 as soon as n * rhat >= cap, before it snaps.  Half
+        # the draws put n * rhat within the snap slack of cap - 1, cap or cap + 1,
+        # or a few doubles off it, where round and ceil disagree.
+        spec = TestSpec(n, alpha)
+        bentkus_pvalue(1.0, spec)  # the first clamped call finds the law's cap
+        law, _, _, cap = spec._steps
+        if data.draw(st.booleans(), label="near a step"):
+            j = min(n, max(0, cap + data.draw(st.integers(-1, 1))))
+            slack = min(prw.SNAP_ATOL, prw.SNAP_RTOL * max(1, j))
+            offset = data.draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)))
+            x = (j + offset * slack) / n
+            steps = data.draw(st.integers(-3, 3), label="ulps")
+            for _ in range(abs(steps)):
+                x = math.nextafter(x, math.copysign(math.inf, steps))
+            drawn = min(1.0, max(0.0, x))
+        else:
+            drawn = data.draw(st.floats(0.0, 1.0), label="rhat")
+        for rhat in (0.0, math.nextafter(cap / n, 0.0), cap / n, 1.0, drawn):
+            k = prw._snapped_ceil(n, rhat)[0]
+            raw = math.e * cdf(law, k)
+            want = 1.0 if k >= cap else raw
+            assert bentkus_pvalue(rhat, spec).hex() == want.hex(), rhat
+            assert bentkus_pvalue(rhat, spec, clamp=False).hex() == raw.hex(), rhat
+
+
 def test_threads_on_one_cold_law_read_the_single_threaded_values():
     # The tables and the law's step record, its Bentkus cap among them, fill
     # lazily in shared state.  Four threads start on one cold law, each on

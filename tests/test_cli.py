@@ -385,6 +385,21 @@ class TestBulkRead:
         assert read_loss_csv(str(path)) == want
         assert len(parsed) == 5000 + sum(blank.count("\n") for blank in blanks.values())
 
+    def test_a_lone_cr_in_a_later_batch_goes_to_the_row_scan(self, tmp_path, monkeypatch):
+        # The first 16-byte batch holds no CR, so only the later batch's CR check
+        # can decline the file: float() takes b" \r0.75\n" as 0.75.
+        monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", 16)
+        path = tmp_path / "late_cr.csv"
+        path.write_bytes(b"loss\n0.5\n0.25\n0.125\n \r0.75\n")
+        with open(path, "rb") as fh:
+            first = b"".join(fh.readlines(16))
+            assert b"\r" not in first and fh.read() == b" \r0.75\n"
+            fh.seek(0)
+            assert cli._read_plain_column(fh, "loss") is None
+        assert read_outcome(cli._read_column, str(path), "loss", "loss") == (
+            read_outcome(row_scan, str(path), "loss", "loss")
+        )
+
 
 class TestParsers:
     def test_grid_inclusive(self):
@@ -577,6 +592,25 @@ class TestPlotdata:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         prw = [float(r[1]) for r in rows]
         assert prw == [1.0] * 5  # n*alpha <= 1: the bound's domain is one point
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (("plotdata", "--n", "1000", "--alpha", "0.1"),
+     [i / (cli.DEFAULT_PLOT_POINTS - 1) for i in range(cli.DEFAULT_PLOT_POINTS)]),
+    (("compare",), list(DEFAULT_COMPARE_GRID)),
+])
+def test_curves_call_each_method_once_per_grid_point(capsys, monkeypatch, argv, grid):
+    # perfbench's tracer counts these calls per layer, so each one must be a real one
+    calls = {name: [] for name in PVALUE_METHODS}
+    for name, pvalue in list(PVALUE_METHODS.items()):
+        def counting(rhat, spec, *, _name=name, _pvalue=pvalue, **kwargs):
+            calls[_name].append(rhat)
+            return _pvalue(rhat, spec, **kwargs)
+
+        monkeypatch.setitem(PVALUE_METHODS, name, counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out.splitlines()) == len(grid) + 1
+    assert calls == {name: grid for name in PVALUE_METHODS}
 
 
 class TestFwer:
