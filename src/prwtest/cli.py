@@ -13,20 +13,23 @@ by its reader (``| head``).
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import io
 import math
 import operator
 import os
 import sys
-from typing import BinaryIO, Callable, Iterable, Optional, Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Optional, Sequence, TextIO
 
 from .baselines import compare  # noqa: F401  perfbench's tracer test reads cli.compare
 from .binomial import _check_closed_unit
 from .fwer import FwerPlan, bonferroni, fallback, fixed_sequence
 from .mc import PVALUE_METHODS, LossDistribution, simulate_superuniformity
 from .prw import TestSpec, prw_pvalue  # noqa: F401  perfbench's tracer test reads cli.prw_pvalue
+
+if TYPE_CHECKING:  # argparse loads only when main() needs a parser
+    import argparse
 
 __all__ = ["read_loss_csv", "main", "entrypoint", "DEFAULT_COMPARE_GRID"]
 
@@ -417,77 +420,138 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        message = f"expected an integer, got {text!r}"
+    else:
+        if value >= 1:
+            return value
+        message = f"expected a positive integer, got {text!r}"
+    import argparse  # argparse reports this error; a ValueError would change its message
+    raise argparse.ArgumentTypeError(message)
+
+
+_FORMAT = dict(choices=("csv", "json"), default="csv")
+
+# Each command's handler, help and options: option string -> add_argument
+# keyword arguments, in the order the parser adds them.  build_parser() and
+# _plain_args() both read this table.
+_COMMANDS = {
+    "pvalue": (cmd_pvalue, "p-value(s) for one sample or empirical risk", {
+        "--rhat": dict(type=float, help="observed empirical risk in [0, 1]"),
+        "--n": dict(type=_positive_int, help="sample size (with --rhat)"),
+        "--losses": dict(help="CSV file with a single `loss` column"),
+        "--alpha": dict(type=float, required=True, help="risk threshold in (0, 1)"),
+        "--method": dict(choices=(*PVALUE_METHODS, "all"), default="all"),
+        "--digits": dict(type=int, default=None),
+        "--unclamped": dict(action="store_true",
+                            help="report raw bound values, which may exceed 1"),
+        "--format": _FORMAT,
+    }),
+    "compare": (cmd_compare, "table of all three p-values over a risk grid", {
+        "--n": dict(type=_positive_int, default=100),
+        "--alpha": dict(type=float, default=0.1),
+        "--grid": dict(help="start:step:stop (inclusive); default: built-in 45-point grid"),
+        "--digits": dict(type=int, default=None),
+        "--format": _FORMAT,
+    }),
+    "plotdata": (cmd_plotdata, "dense unrounded p-value curves for plotting", {
+        "--n": dict(type=_positive_int, default=100),
+        "--alpha": dict(type=float, default=0.1),
+        "--grid": dict(help="start:step:stop (inclusive); default: 1000 points over [0, 1]"),
+        "--format": _FORMAT,
+    }),
+    "fwer": (cmd_fwer, "run an FWER procedure over a p-value file", {
+        "pvalues": dict(help="CSV file with a single `pvalue` column, in test order"),
+        "--procedure": dict(choices=tuple(_PROCEDURES), required=True),
+        "--delta": dict(type=float, required=True, help="global FWER level in (0, 1)"),
+        "--weights": dict(help="comma-separated fallback weights summing to 1"),
+        "--format": _FORMAT,
+    }),
+    "validate": (cmd_validate, "Monte Carlo super-uniformity check (CI gate)", {
+        "--dist": dict(required=True, help="bernoulli:P, beta:A:B, or discrete:X1,..:Q1,.."),
+        "--n": dict(type=_positive_int, required=True),
+        "--alpha": dict(type=float, required=True),
+        "--method": dict(choices=tuple(PVALUE_METHODS), default="prw"),
+        "--reps": dict(type=_positive_int, default=10000),
+        "--seed": dict(type=int, default=0),
+        "--delta": dict(default="0.01,0.05,0.1,0.2", help="comma-separated levels to check"),
+        "--format": _FORMAT,
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="prwtest",
         description="Distribution-free p-values for the mean of [0,1]-bounded losses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pvalue", help="p-value(s) for one sample or empirical risk")
-    p.add_argument("--rhat", type=float, help="observed empirical risk in [0, 1]")
-    p.add_argument("--n", type=_positive_int, help="sample size (with --rhat)")
-    p.add_argument("--losses", help="CSV file with a single `loss` column")
-    p.add_argument("--alpha", type=float, required=True, help="risk threshold in (0, 1)")
-    p.add_argument("--method", choices=(*PVALUE_METHODS, "all"), default="all")
-    p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--unclamped", action="store_true",
-                   help="report raw bound values, which may exceed 1")
-    p.set_defaults(func=cmd_pvalue)
-
-    p = sub.add_parser("compare", help="table of all three p-values over a risk grid")
-    p.add_argument("--n", type=_positive_int, default=100)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--grid", help="start:step:stop (inclusive); default: built-in 45-point grid")
-    p.add_argument("--digits", type=int, default=None)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("plotdata", help="dense unrounded p-value curves for plotting")
-    p.add_argument("--n", type=_positive_int, default=100)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--grid", help="start:step:stop (inclusive); default: 1000 points over [0, 1]")
-    p.set_defaults(func=cmd_plotdata)
-
-    p = sub.add_parser("fwer", help="run an FWER procedure over a p-value file")
-    p.add_argument("pvalues", help="CSV file with a single `pvalue` column, in test order")
-    p.add_argument("--procedure", choices=tuple(_PROCEDURES), required=True)
-    p.add_argument("--delta", type=float, required=True, help="global FWER level in (0, 1)")
-    p.add_argument("--weights", help="comma-separated fallback weights summing to 1")
-    p.set_defaults(func=cmd_fwer)
-
-    p = sub.add_parser("validate", help="Monte Carlo super-uniformity check (CI gate)")
-    p.add_argument("--dist", required=True,
-                   help="bernoulli:P, beta:A:B, or discrete:X1,..:Q1,..")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", choices=tuple(PVALUE_METHODS), default="prw")
-    p.add_argument("--reps", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", default="0.01,0.05,0.1,0.2",
-                   help="comma-separated levels to check")
-    p.set_defaults(func=cmd_validate)
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    for command, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option, kwargs in options.items():
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
-# Built by the first main() call, not at import, and shared by later calls;
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` gives for a plain argv, else None.
+
+    Plain: a command, then only exact option strings each followed by a value
+    not starting with "-", store_true flags and the command's positional.
+    Values are converted and checked as argparse does, and a repeated option
+    keeps its last value.  For any other argv, argparse parses it and reports.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    for option, kwargs in options.items():  # required ones and the positional have no default
+        if option.startswith("-") and not kwargs.get("required"):
+            store_true = kwargs.get("action") == "store_true"
+            values[option.lstrip("-")] = kwargs.get("default", False if store_true else None)
+    positionals = [option for option in options if not option.startswith("-")]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            option, text = positionals.pop(0), token
+        elif token not in options:
+            return None
+        elif options[token].get("action") == "store_true":
+            values[token.lstrip("-")] = True
+            continue
+        else:
+            option, text = token, next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        kwargs = options[option]
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse's ArgumentTypeError among them: left to argparse to report
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[option.lstrip("-")] = value
+    if any(option.lstrip("-") not in values for option in options):
+        return None
+    return SimpleNamespace(**values)
+
+
+# Built by the first main() call that needs it and shared by later calls;
 # parse_args leaves a parser unchanged, so one call cannot affect the next.
 _parser: Optional[argparse.ArgumentParser] = None
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Optional[Iterable[str]] = None) -> int:
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is None:
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (DataError, ValueError, MemoryError, OverflowError) as exc:

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -817,12 +819,115 @@ def test_main_builds_the_parser_once(capsys, monkeypatch, tmp_path):
             results.append((code, captured.out, captured.err))
         return results
 
+    # the three plain argv build no parser; argparse is built for the usage
+    # error and --help, once per process when it is shared
     fresh = run_calls(fresh=True)
-    assert len(builds) == len(calls)
+    assert len(builds) == 2
     builds.clear()
     assert run_calls(fresh=False) == fresh
     assert len(builds) == 1
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+
+
+# Values drawn for an option, by its type: (valid, invalid or negative-number forms).
+_VALUES_BY_TYPE = {
+    float: (["0.05", "0.1", "1", "1e-3", "nan", "inf"], ["abc", "", "-1", "-0", "-1e3", "-inf"]),
+    int: (["4", "27", "0"], ["x", "1.5", "-1", "-0"]),
+    cli._positive_int: (["100", "1", "007"], ["0", "1e3", "x", "-1", "-0"]),
+    None: (["f.csv", "0:0.1:1", "bernoulli:0.1", ""], ["-1", "-x", "-"]),
+}
+_STRAY_TOKENS = ["--", "-h", "--help", "-", "", "stray", "-1", "--bogus"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv drawn from the command table, each option given 0, 1 or 2 times, in any order.
+
+    A third of them hold only exact flags, valid values and no stray token,
+    so that a good share is accepted; a third take one odd form at one
+    pick, so that each odd form is met alone; in the rest any pick may be odd.
+    """
+    mode = draw(st.sampled_from(["plain", "one odd", "many odd"]))
+    odd_at = draw(st.integers(0, 24)) if mode == "one odd" else None
+    picks = itertools.count()
+
+    def pick(plain, other):
+        odd = next(picks) == odd_at or mode == "many odd" and draw(st.integers(0, 3)) == 0
+        return draw(st.sampled_from(other if odd else plain))
+
+    command = pick([*cli._COMMANDS], ["frobnicate", "--help", ""])
+    _, _, options = cli._COMMANDS.get(command, (None, None, {}))
+    chunks = []
+    for option, kwargs in options.items():
+        if "choices" in kwargs:
+            values = (kwargs["choices"], ["nope", kwargs["choices"][0].upper()])
+        else:
+            values = _VALUES_BY_TYPE[kwargs.get("type")]
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2]))):
+            flag = pick([option], [option[:3], option[:-1]])  # an abbreviation, or "--" for --n
+            if not option.startswith("-"):
+                chunks.append([pick(*values)])
+            elif kwargs.get("action") == "store_true":
+                chunks.append([flag])
+            elif pick([True], [False]):  # else the --flag=value form
+                chunks.append([flag, pick(*values)])
+            else:
+                chunks.append([f"{flag}={pick(*values)}"])
+    chunks += [[pick(_STRAY_TOKENS, _STRAY_TOKENS)] for _ in range(pick([0], [1, 2]))]
+    return [command, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
+def _fields(namespace):
+    """vars(namespace), with each float as its repr: a NaN is not equal to itself."""
+    return {k: repr(v) if isinstance(v, float) else v for k, v in vars(namespace).items()}
+
+
+def _parsed(argv):
+    """_fields of what argparse gives for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _fields(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestPlainArgs:
+    @given(argv=_argvs())
+    @example(argv=["fwer", "a.csv", "b.csv", "--procedure", "bonferroni", "--delta", "0.05"])
+    @example(argv=["pvalue", "--alpha", "0.1", "--method", "nope"])
+    @example(argv=["compare", "--n", "0"])
+    @example(argv=["pvalue", "--alpha", "0.1", "--losses", "-x"])
+    @settings(max_examples=300)
+    def test_an_accepted_argv_parses_as_argparse_parses_it(self, argv):
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert _fields(plain) == _parsed(argv)
+
+    def test_accepts_every_golden_argv_argparse_accepts_but_the_forms_beyond_flag_value(self):
+        cases = json.loads((DATA_DIR / "cli_golden.json").read_text(encoding="utf-8"))["cases"]
+        declined = [case["argv"] for case in cases
+                    if _parsed(case["argv"]) is not None and cli._plain_args(case["argv"]) is None]
+        assert declined == [
+            ["pvalue", "--rhat=0.05", "--n", "100", "--alpha", "0.1"],
+            ["pvalue", "--rhat", "0.05", "--n", "100", "--alp", "0.1"],
+            ["pvalue", "--rhat", "-0", "--n", "100", "--alpha", "0.1"],
+            ["fwer", "--procedure", "bonferroni", "--delta", "0.05", "--", "{dir}/pvalues.csv"],
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["plotdata", "--n", "1000", "--alpha", "0.1"],
+        ["plotdata", "--n", "200", "--alpha", "0.1", "--grid", "0:0.05:1"],
+        ["compare"],
+        ["compare", "--n", "3000", "--alpha", "0.1"],
+        ["pvalue", "--losses", "losses_000.csv", "--alpha", "0.1", "--format", "json",
+         "--digits", "27"],
+        ["fwer", "pvalues.csv", "--procedure", "fallback", "--delta", "0.1", "--format", "json",
+         "--weights", "0.5,0.5"],
+        ["validate", "--dist", "bernoulli:0.11", "--n", "100", "--alpha", "0.1", "--reps",
+         "100000", "--method", "prw", "--seed", "123456789", "--format", "json"],
+    ])
+    def test_accepts_the_benchmark_argv(self, argv):
+        assert _fields(cli._plain_args(argv)) == _parsed(argv)
 
 
 class TestDigits:
@@ -1014,6 +1119,28 @@ def test_cold_start_loads_decimal_json_and_csv_only_where_used():
         "0.099900000000000002686739720", "414.648636239572567774303024635",
         "0.994458210204651193997449354", "1.252229589029460354865364025",
     ])
+
+
+ARGPARSE_ON_DEMAND_SCRIPT = """
+import contextlib, io, sys
+import prwtest.cli
+for argv in (["compare"], ["plotdata", "--n", "1000", "--alpha", "0.1"],
+             ["compare", "--n", "3000", "--alpha", "0.1"],
+             ["pvalue", "--rhat", "0.05", "--n", "100", "--alpha", "0.1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert prwtest.cli.main(argv) == 0, argv
+print(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def test_plain_argv_loads_no_argparse_and_help_still_prints():
+    # argparse with gettext and locale is about 2 ms of the import, and building
+    # the parser about 4 ms more, in a process whose argv needs neither
+    result = run_python("-c", ARGPARSE_ON_DEMAND_SCRIPT)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+    result = run_python("-m", "prwtest", "--help")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: prwtest")
 
 
 def test_package_exports_keep_their_names_and_order():

@@ -93,6 +93,19 @@ def _cases():
           for fmt in ("csv", "json")),
         ["validate", "--dist", "bernoulli:0.05", *RHAT],
         ["validate", "--dist", "gauss:0:1", *RHAT],
+        # help and usage errors, which only argparse prints
+        ["--help"],
+        *([command, "--help"] for command in ("pvalue", "compare", "plotdata", "fwer", "validate")),
+        [],
+        ["frobnicate"],
+        ["compare", "--bogus"],
+        ["validate", "--dist", "bernoulli:0.11", *RHAT, "--method", "nope"],
+        ["fwer", "--procedure", "bonferroni", "--delta", "0.05"],
+        # accepted forms beyond plain `--flag value` tokens
+        ["pvalue", "--rhat=0.05", *RHAT],
+        ["pvalue", "--rhat", "0.05", "--n", "100", "--alp", "0.1"],
+        ["pvalue", "--rhat", "-0", *RHAT],
+        ["fwer", "--procedure", "bonferroni", "--delta", "0.05", "--", f"{DIR}/pvalues.csv"],
     ]
     runs = [(argv, {}) for argv in cases]
     runs.append((["pvalue", "--rhat", "0.05", *RHAT], {"PRWTEST_DIGITS": "6"}))
