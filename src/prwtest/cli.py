@@ -59,9 +59,10 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
     UTF-8 (BOM tolerated), LF or CRLF line endings.  Any malformed or
     out-of-range value raises DataError naming the offending data row.
     The file is opened once, and a pipe is read whole into memory first, so
-    that both take one path.  A plain file is parsed in one bulk pass; every
-    other file, and every error, goes through the csv row scan, which
-    rereads the file from its start and gives the same values.
+    that both take one path.  A plain file is parsed in one bulk pass, a
+    batch of whole lines at a time; every other file, and every error, goes
+    through the csv row scan, which rereads the file from its start and
+    gives the same values.
     """
     try:
         fh = open(path, "rb")
@@ -91,9 +92,11 @@ def _read_plain_column(fh: BinaryIO, header: str) -> Optional[tuple[float, ...]]
     """The column's values in one bulk pass, or None to leave the file to the row scan.
 
     Reads ``fh`` in batches of whole lines, holding one batch at a time
-    besides the values.  Only a file with no lone CR, no line at the csv
-    field limit, the header on its first line and one in-range number or
-    nothing but ASCII whitespace on every other line qualifies.
+    besides the values: a batch is one read of _BULK_BATCH_BYTES and the
+    rest of its last line, split into lines once.  Only a file with no lone
+    CR, no line at the csv field limit, the header on its first line and
+    one in-range number or nothing but ASCII whitespace on every other line
+    qualifies.
     float() rejects quotes, commas and every non-ASCII byte, so each line it
     takes decodes to itself and is one unquoted csv field, and it strips
     the same whitespace as the row scan's str.strip().  The row scan skips
@@ -103,11 +106,13 @@ def _read_plain_column(fh: BinaryIO, header: str) -> Optional[tuple[float, ...]]
     limit = csv.field_size_limit()
     values: list[float] = []
     at_header = True
-    while lines := fh.readlines(_BULK_BATCH_BYTES):
-        chunk = b"".join(lines)
+    while chunk := fh.read(_BULK_BATCH_BYTES):
+        if not chunk.endswith(b"\n"):  # finish the batch's last line
+            chunk += fh.readline()
         # the row scan splits at a lone CR; most files hold no CR, and one find says so
         if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
             return None
+        lines = chunk.splitlines(keepends=True)  # with no lone CR, split at each LF
         if len(chunk) >= limit and max(map(len, lines)) >= limit:
             return None
         if at_header:

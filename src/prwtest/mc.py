@@ -122,8 +122,9 @@ class LossDistribution(Record):
         if self.kind == "beta":
             return self.sample(rng, (rows, n)).mean(axis=1)
         import numpy as np
+        count = np.min_scalar_type(n)  # the narrowest unsigned type that holds n, not intp
         if self.kind == "bernoulli":
-            return np.count_nonzero(rng.random((rows, n)) < self.params[0], axis=1) / n
+            return (rng.random((rows, n)) < self.params[0]).sum(axis=1, dtype=count) / n
         support, probs = self.params
         ratios = [x.as_integer_ratio() for x in support]  # Python integers: D may be 2**1074
         den = max(d for _, d in ratios)
@@ -132,7 +133,7 @@ class LossDistribution(Record):
         cdf = np.cumsum(probs)
         u = rng.random((rows, n))
         # reach[i] counts a row's losses at index >= i: u >= sample's thresholds, which rise
-        reach = [n, *(np.count_nonzero(u >= c, axis=1) for c in cdf[:-1] / cdf[-1]), 0]
+        reach = [n, *((u >= c).sum(axis=1, dtype=count) for c in cdf[:-1] / cdf[-1]), 0]
         total = np.zeros(rows)  # an array even for a point mass, whose terms are scalars
         for x, at_least, beyond in zip(support, reach, reach[1:]):
             total += x * (at_least - beyond)

@@ -387,14 +387,33 @@ class TestBulkRead:
         assert read_loss_csv(str(path)) == want
         assert len(parsed) == 5000 + sum(blank.count("\n") for blank in blanks.values())
 
+    def test_a_file_of_many_real_batches_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        # Five batches of CRLF lines at the real batch size, none of whose reads
+        # ends at a line's end: the first ends inside a value, each later one
+        # between a CR and its LF, and the rest of that line finishes the batch.
+        batch, header, line = cli._BULK_BATCH_BYTES, len(b"loss\r\n"), len(b"0.5\r\n")
+        assert (batch - header) % line not in (0, line - 1) and batch % line == line - 1
+        rows = [f"0.{i % 10}\r\n" for i in range(5 * batch // line)]
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(("loss\r\n" + "".join(rows)).encode())
+        want = read_outcome(row_scan, str(path), "loss", "loss")
+
+        def no_scan(*args):
+            raise AssertionError("the row scan ran")
+
+        monkeypatch.setattr(cli, "_scan_rows", no_scan)
+        assert len(want) == len(rows)
+        assert read_outcome(cli._read_column, str(path), "loss", "loss") == want
+
     def test_a_lone_cr_in_a_later_batch_goes_to_the_row_scan(self, tmp_path, monkeypatch):
-        # The first 16-byte batch holds no CR, so only the later batch's CR check
-        # can decline the file: float() takes b" \r0.75\n" as 0.75.
+        # The first batch, 16 bytes and the rest of their last line, holds no CR,
+        # so only the later batch's CR check can decline the file: float()
+        # takes b" \r0.75\n" as 0.75.
         monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", 16)
         path = tmp_path / "late_cr.csv"
         path.write_bytes(b"loss\n0.5\n0.25\n0.125\n \r0.75\n")
         with open(path, "rb") as fh:
-            first = b"".join(fh.readlines(16))
+            first = fh.read(16) + fh.readline()
             assert b"\r" not in first and fh.read() == b" \r0.75\n"
             fh.seek(0)
             assert cli._read_plain_column(fh, "loss") is None

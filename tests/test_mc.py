@@ -121,6 +121,13 @@ class TestLossDistribution:
         seed=st.integers(0, 2**64 - 1),
     )
     @example(dist=LossDistribution.scaled_discrete((-0.0,), (1.0,)), rows=2, n=3, seed=0)
+    # the counts widen from uint16 to uint32 between these n, and some count every loss
+    @example(dist=LossDistribution.bernoulli(1.0), rows=2, n=65535, seed=1)
+    @example(dist=LossDistribution.bernoulli(1.0), rows=2, n=65536, seed=1)
+    @example(dist=LossDistribution.scaled_discrete((0.0, 0.5, 1.0), (0.0, 0.5, 0.5)),
+             rows=2, n=65535, seed=2)
+    @example(dist=LossDistribution.scaled_discrete((0.0, 0.5, 1.0), (0.0, 0.5, 0.5)),
+             rows=2, n=65536, seed=2)
     def test_row_means_are_the_loss_matrix_row_means(self, dist, rows, n, seed):
         """Counted or averaged, the rows equal sample's row means bit for bit
         and leave the stream where sample leaves it."""
