@@ -447,7 +447,7 @@ _COMMANDS = {
         "--alpha": dict(type=float, required=True, help="risk threshold in (0, 1)"),
         "--method": dict(choices=(*PVALUE_METHODS, "all"), default="all"),
         "--digits": dict(type=int, default=None),
-        "--unclamped": dict(action="store_true",
+        "--unclamped": dict(action="store_true", default=False,
                             help="report raw bound values, which may exceed 1"),
         "--format": _FORMAT,
     }),
@@ -513,8 +513,7 @@ def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     values = {"command": argv[0], "func": func}
     for option, kwargs in options.items():  # required ones and the positional have no default
         if option.startswith("-") and not kwargs.get("required"):
-            store_true = kwargs.get("action") == "store_true"
-            values[option.lstrip("-")] = kwargs.get("default", False if store_true else None)
+            values[option.lstrip("-")] = kwargs.get("default")
     positionals = [option for option in options if not option.startswith("-")]
     tokens = iter(argv[1:])
     for token in tokens:
@@ -544,19 +543,9 @@ def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values)
 
 
-# Built by the first main() call that needs it and shared by later calls;
-# parse_args leaves a parser unchanged, so one call cannot affect the next.
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Optional[Iterable[str]] = None) -> int:
-    global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
-    if args is None:
-        if _parser is None:
-            _parser = build_parser()
-        args = _parser.parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DataError, ValueError, MemoryError, OverflowError) as exc:

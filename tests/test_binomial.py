@@ -504,6 +504,7 @@ class TestTableLayout:
     @example(n=5, p=0.95)  # m = n: every stored tail is a lower tail
     @example(n=1074, p=0.5)  # tails down to the smallest subnormal
     @example(n=15, p=0.1)  # m = gamma - 1 at alpha = 0.1
+    @example(n=2, p=5e-324)  # the second term underflows to 0.0 and ends the sweep
     def test_reads_equal_the_two_array_table(self, n, p):
         lo, hi, lower, upper = two_array_table(n, p)
         m = mode(n, p)

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -446,7 +447,9 @@ class TestParsers:
         assert d.mean == pytest.approx(0.65)
 
     def test_dist_rejects_garbage(self):
-        with pytest.raises(Exception):
+        message = ("invalid distribution spec 'cauchy:0:1'; expected bernoulli:P, beta:A:B, "
+                   "or discrete:X1,..,Xk:Q1,..,Qk")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             parse_dist("cauchy:0:1")
 
 
@@ -805,7 +808,33 @@ class TestUsage:
         assert exc.value.code == 2
 
 
-def test_main_builds_the_parser_once(capsys, monkeypatch, tmp_path):
+_VALIDATE = ["validate", "--n", "10", "--alpha", "0.1"]
+_FALLBACK = ["fwer", "{pvalues}", "--procedure", "fallback", "--delta", "0.05"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--grid", "0:1"], "grid must look like start:step:stop, got '0:1'"),
+    (["compare", "--grid", "a:0.1:1"], "grid must contain numbers, got 'a:0.1:1'"),
+    (["plotdata", "--grid", "nan:0.1:1"], "grid values must be numbers, got 'nan:0.1:1'"),
+    (["compare", "--grid", "0.5:0.1:0.2"], "grid stop must be >= start, got '0.5:0.1:0.2'"),
+    ([*_VALIDATE, "--dist", "bernoulli:0.2", "--delta", "0.1,x"],
+     "--delta must be a comma-separated list of numbers, got '0.1,x'"),
+    ([*_VALIDATE, "--dist", "bernoulli:0.2", "--delta", ","],
+     "--delta must contain at least one number, got ','"),
+    ([*_FALLBACK, "--weights", "0.5,y"],
+     "--weights must be a comma-separated list of numbers, got '0.5,y'"),
+    ([*_FALLBACK, "--weights", ",,"], "--weights must contain at least one number, got ',,'"),
+    ([*_VALIDATE, "--dist", "discrete:0,1:1"], "invalid distribution spec 'discrete:0,1:1': "
+     "support and probs must be non-empty and equal length"),
+])
+def test_a_rejected_input_exits_2_with_its_one_error_line(capsys, tmp_path, argv, message):
+    pvalues = write_pvalues(tmp_path, [0.01, 0.2])
+    code, out, err = run(capsys, *(arg.format(pvalues=pvalues) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_main_builds_a_parser_only_beyond_plain_argv_and_keeps_no_state(
+        capsys, monkeypatch, tmp_path):
     losses = write_losses(tmp_path, ["0.01", "0.02", "0"])
     pvalues = write_pvalues(tmp_path, [0.01, 0.2])
     calls = (
@@ -824,28 +853,22 @@ def test_main_builds_the_parser_once(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "build_parser", counted_build)
 
-    def run_calls(fresh):
-        monkeypatch.setattr(cli, "_parser", None)
-        results = []
-        for argv in calls:
-            if fresh:
-                monkeypatch.setattr(cli, "_parser", None)
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # usage errors and --help
-                code = exc.code
-            captured = capsys.readouterr()
-            results.append((code, captured.out, captured.err))
-        return results
+    def outcome(argv):
+        """(code, stdout, stderr) of main(argv), and how many parsers it built."""
+        builds.clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors and --help
+            code = exc.code
+        captured = capsys.readouterr()
+        return (code, captured.out, captured.err), len(builds)
 
-    # the three plain argv build no parser; argparse is built for the usage
-    # error and --help, once per process when it is shared
-    fresh = run_calls(fresh=True)
-    assert len(builds) == 2
-    builds.clear()
-    assert run_calls(fresh=False) == fresh
-    assert len(builds) == 1
-    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+    forward = [outcome(argv) for argv in calls]
+    # the three plain argv build no parser; the usage error and --help build one each
+    assert [built for _, built in forward] == [0, 0, 1, 1, 0]
+    assert [code for (code, _, _), _ in forward] == [0, 0, 2, 0, 0]
+    # each call's outcome is the same whatever ran before it
+    assert [outcome(argv) for argv in reversed(calls)][::-1] == forward
 
 
 # Values drawn for an option, by its type: (valid, invalid or negative-number forms).
@@ -916,7 +939,8 @@ class TestPlainArgs:
     @example(argv=["pvalue", "--alpha", "0.1", "--method", "nope"])
     @example(argv=["compare", "--n", "0"])
     @example(argv=["pvalue", "--alpha", "0.1", "--losses", "-x"])
-    @settings(max_examples=300)
+    # 300 examples, or the loaded profile's count where it is larger (1000 under ci)
+    @settings(max_examples=max(300, settings.default.max_examples))
     def test_an_accepted_argv_parses_as_argparse_parses_it(self, argv):
         plain = cli._plain_args(argv)
         if plain is not None:
