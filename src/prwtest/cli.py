@@ -190,9 +190,12 @@ def read_pvalue_csv(path: str) -> tuple[float, ...]:
 def round_half_away(value: float, digits: int) -> str:
     """``value`` to ``digits`` decimals in fixed point, with ties going away from zero.
 
-    The double's exact ratio is rounded in integers, so unclamped bound values
-    far above 1 round as exactly as p-values do.  A zero result keeps the sign.
+    ``%f`` rounds the exact double correctly, a tie to even.  A tie is a finite value
+    with ``abs(value) * 2**(digits + 1)`` odd (the product is exact), so only ties, inf and
+    NaN round the exact ratio in integers: the next double would show at 17+ digits.
     """
+    if 0.0 <= abs(value) * 2.0 ** (digits + 1) % 2.0 != 1.0:  # past 2**1024 the product is inf
+        return "%.*f" % (digits, value)
     num, den = abs(value).as_integer_ratio()
     q, r = divmod(num * 10**digits, den)
     whole, frac = divmod(q + (2 * r >= den), 10**digits)

@@ -14,8 +14,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# CI runs the snap, memo, step-record, table-layout and g_inverse properties, and the
-# plain-argv parse, again under this one: more examples, nothing else changed.
+# CI runs the snap, memo, step-record, table-layout and g_inverse properties, the
+# plain-argv parse, the --digits rounding (exact ties included) and the PRW/Bentkus
+# crossover again under this one: more examples, nothing else changed.
 settings.register_profile("ci", parent=settings.get_profile("default"), max_examples=1000)
 settings.load_profile("default")
 

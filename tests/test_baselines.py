@@ -213,6 +213,18 @@ class TestRegionOrdering:
                 got = rep.prw - rep.bentkus
                 assert (got < 0) == (expected < 0)
 
+    @given(n=st.integers(1, 3000), alpha=st.floats(0.01, 0.9))
+    @example(n=100, alpha=0.1)  # k_c = 6.56: PRW is the lower one up to rhat = 0.06
+    def test_crossover_in_closed_form(self, n, alpha):
+        # alpha(n - k)/(n alpha - k) < e  <=>  k < k_c, left of the boundary step
+        spec = TestSpec(n, alpha)
+        k_c = n * alpha * (math.e - 1) / (math.e - alpha)
+        for k in range(spec.gamma - 1):
+            raw_bentkus = bentkus_pvalue(k / n, spec, clamp=False)
+            if raw_bentkus == 0.0 or abs(k - k_c) <= 1e-9 * max(1.0, k_c):  # underflow, or a tie
+                continue
+            assert (prw_pvalue(k / n, spec, clamp=False) < raw_bentkus) == (k < k_c)
+
 
 @given(
     r1=st.floats(0, 1, allow_nan=False),

@@ -69,6 +69,15 @@ def decimal_half_up(value, digits):
         return exact.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP)
 
 
+@st.composite
+def exact_ties(draw):
+    """(value, digits) with value = ±N / 2**(digits + 1), N odd and below 2**52: an exact
+    tie at ``digits`` decimals, since value * 10**digits is then N * 5**digits / 2."""
+    digits = draw(st.integers(0, MAX_DIGITS))
+    odd = 2 * draw(st.integers(0, 2**51 - 1)) + 1
+    return draw(st.sampled_from((1, -1))) * odd / 2 ** (digits + 1), digits
+
+
 # (reader, header, label): both single-column readers share one format and
 # the same messages, up to the column's names.
 READERS = (
@@ -1060,6 +1069,25 @@ class TestDigits:
         assert text == format(want, "f")
         assert math.copysign(1.0, float(text)) == math.copysign(1.0, float(want))
         assert float(text) == float(want)
+
+    @given(tie=exact_ties())
+    @example(tie=(0.0008885599672794342, 27))  # the next double shows in the 27th decimal
+    @example(tie=(3.3181800842285156, 17))  # and in the 17th
+    @example(tie=(0.03125, 4))
+    def test_exact_ties_round_away_from_zero(self, tie):
+        # %f rounds a tie to even, so every tie takes the integer path
+        value, digits = tie
+        scaled = abs(value) * 2 ** (digits + 1)
+        assert scaled == int(scaled) and int(scaled) % 2 == 1
+        assert round_half_away(value, digits) == format(decimal_half_up(value, digits), "f")
+
+    @pytest.mark.parametrize("value, error", [
+        (math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError),
+    ])
+    @pytest.mark.parametrize("digits", [0, 4, MAX_DIGITS])
+    def test_non_finite_values_raise(self, value, error, digits):
+        with pytest.raises(error):
+            round_half_away(value, digits)
 
 
 def checkout_env():

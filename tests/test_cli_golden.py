@@ -65,6 +65,10 @@ def _cases():
         ["compare", "--n", "50", "--alpha", "0.2", "--grid", "0:0.02:0.3", "--format", "json"],
         ["compare", "--grid", "0.05:0.01:0.1", "--digits", "8", "--format", "json"],
         ["compare", "--grid", "0:0.1:2"],
+        # exact ties at 4 decimals: 0.03125 rounds away from zero to 0.0313
+        ["compare", "--grid", "0:0.03125:0.25", "--digits", "4"],
+        ["compare", "--grid", "0:0.03125:0.25", "--digits", "4", "--format", "json"],
+        ["pvalue", "--rhat", "0.03125", *RHAT, "--digits", "4"],
         ["plotdata", "--n", "20", "--alpha", "0.3", "--grid", "0:0.05:1"],
         ["plotdata", "--n", "20", "--alpha", "0.3", "--grid", "0:0.05:1", "--format", "json"],
         ["plotdata", "--grid", "0.05:0.01:0.2"],
