@@ -19,8 +19,11 @@ import math
 import operator
 import os
 import sys
+from itertools import chain
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Optional, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar,
+)
 
 from .baselines import compare  # noqa: F401  perfbench's tracer test reads cli.compare
 from .binomial import _check_closed_unit
@@ -53,8 +56,37 @@ class DataError(Exception):
     """Malformed input data or flags; maps to exit code 2."""
 
 
-def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
-    """Read the values of a single-column CSV with a required header.
+class _RowScan(Exception):
+    """The bulk pass declines the file: the csv row scan reads it instead."""
+
+
+# A column arrives at its reduction as batches of values, each checked to lie in [0, 1]
+_Batches = Iterator[Sequence[float]]
+_R = TypeVar("_R")
+
+
+def _values(batches: _Batches) -> tuple[float, ...]:
+    """Every value of the column, in order, as one tuple."""
+    return tuple(chain.from_iterable(batches))
+
+
+def _count_and_sum(batches: _Batches) -> tuple[int, float]:
+    """The number of values and their ``math.fsum``, holding one batch at a time."""
+    n = 0
+
+    def counted(batch: Sequence[float]) -> Sequence[float]:
+        nonlocal n
+        n += len(batch)
+        return batch
+
+    total = math.fsum(chain.from_iterable(map(counted, batches)))
+    return n, total
+
+
+def _read_column(
+    path: str, header: str, label: str, reduce: Callable[[_Batches], _R] = _values
+) -> _R:
+    """``reduce`` of the values of a single-column CSV with a required header.
 
     UTF-8 (BOM tolerated), LF or CRLF line endings.  Any malformed or
     out-of-range value raises DataError naming the offending data row.
@@ -62,7 +94,9 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
     that both take one path.  A plain file is parsed in one bulk pass, a
     batch of whole lines at a time; every other file, and every error, goes
     through the csv row scan, which rereads the file from its start and
-    gives the same values.
+    gives the same values.  ``reduce`` consumes the values as they are read;
+    when the bulk pass declines a file partway, an exception leaves the
+    reduction, which then runs again over the row scan.
     """
     try:
         fh = open(path, "rb")
@@ -71,32 +105,33 @@ def _read_column(path: str, header: str, label: str) -> tuple[float, ...]:
     with fh:
         if not fh.seekable():  # a pipe: kept whole, so the row scan can reread it
             fh = io.BufferedReader(io.BytesIO(fh.read()))
-        values = _read_plain_column(fh, header)
-        if values is not None:
-            return values
+        try:
+            return reduce(_read_plain_column(fh, header))
+        except _RowScan:
+            pass
         # A fresh buffer over the rewound file, so the text layer reads it in
         # the same chunks, and reports a decode error at the same position,
         # as over a file it opened itself
         fh.raw.seek(0)
         source = io.BufferedReader(fh.raw)
         with io.TextIOWrapper(source, encoding="utf-8-sig", newline="") as text:
-            return _scan_rows(text, path, header, label)
+            return reduce(_scan_rows(text, path, header, label))
 
 
 # Bytes of whole lines the bulk pass parses at a time, so that what it holds
-# besides the values stays bounded whatever the size of the file.
+# stays bounded whatever the size of the file.
 _BULK_BATCH_BYTES = 1 << 18
 
 
-def _read_plain_column(fh: BinaryIO, header: str) -> Optional[tuple[float, ...]]:
-    """The column's values in one bulk pass, or None to leave the file to the row scan.
+def _read_plain_column(fh: BinaryIO, header: str) -> Iterator[list[float]]:
+    """The column's values in one bulk pass, a batch at a time, or _RowScan to leave the file.
 
-    Reads ``fh`` in batches of whole lines, holding one batch at a time
-    besides the values: a batch is one read of _BULK_BATCH_BYTES and the
-    rest of its last line, split into lines once.  Only a file with no lone
-    CR, no line at the csv field limit, the header on its first line and
-    one in-range number or nothing but ASCII whitespace on every other line
-    qualifies.
+    Reads ``fh`` in batches of whole lines and yields each batch's values,
+    holding one batch at a time: a batch is one read of _BULK_BATCH_BYTES
+    and the rest of its last line, split into lines once.  Only a file with
+    no lone CR, no letter n or N, no line at the csv field limit, the header
+    on its first line, one in-range number or nothing but ASCII whitespace
+    on every other line and at least one number qualifies.
     float() rejects quotes, commas and every non-ASCII byte, so each line it
     takes decodes to itself and is one unquoted csv field, and it strips
     the same whitespace as the row scan's str.strip().  The row scan skips
@@ -104,20 +139,24 @@ def _read_plain_column(fh: BinaryIO, header: str) -> Optional[tuple[float, ...]]
     """
     import csv  # loaded by the first read; the limit is read anew, so a changed one holds
     limit = csv.field_size_limit()
-    values: list[float] = []
     at_header = True
+    empty = True
     while chunk := fh.read(_BULK_BATCH_BYTES):
         if not chunk.endswith(b"\n"):  # finish the batch's last line
             chunk += fh.readline()
         # the row scan splits at a lone CR; most files hold no CR, and one find says so
         if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-            return None
+            raise _RowScan
+        # float() reads a NaN only from text with an n, and min and max cannot
+        # see a NaN; neither header holds an n
+        if b"n" in chunk or b"N" in chunk:
+            raise _RowScan
         lines = chunk.splitlines(keepends=True)  # with no lone CR, split at each LF
         if len(chunk) >= limit and max(map(len, lines)) >= limit:
-            return None
+            raise _RowScan
         if at_header:
             if lines.pop(0).removeprefix(codecs.BOM_UTF8).strip() != header.encode():
-                return None
+                raise _RowScan
             at_header = False
         batch: list[float] = []
         rest = iter(lines)
@@ -131,19 +170,23 @@ def _read_plain_column(fh: BinaryIO, header: str) -> Optional[tuple[float, ...]]
                 # extend keeps what it appended before the error; were that
                 # ever not so, the count would differ and the row scan decide
                 if lines[failed].strip() or len(batch) != failed - skipped:
-                    return None
+                    raise _RowScan
                 skipped += 1
-        # a NaN makes the sum NaN; min and max alone can miss it
-        if batch and (min(batch) < 0.0 or max(batch) > 1.0 or math.isnan(sum(batch))):
-            return None
-        values += batch
-    return tuple(values) if values else None
+        if batch:
+            # with no NaN, max and min are exact; float() is negative only after a minus sign
+            if max(batch) > 1.0 or (b"-" in chunk and min(batch) < 0.0):
+                raise _RowScan
+            empty = False
+            yield batch
+        del lines, batch  # so that the next batch is split and parsed without this one
+    if empty:
+        raise _RowScan
 
 
-def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> tuple[float, ...]:
-    """The csv row scan behind ``_read_column``: the source of every read error."""
+def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> Iterator[tuple[float]]:
+    """``_read_column``'s csv row scan, a value at a time: the source of every read error."""
     import csv
-    values: list[float] = []
+    empty = True
     row_number = -1  # the header is row 0, data rows count from 1
     reader = csv.reader(fh)
     try:
@@ -167,19 +210,25 @@ def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> tuple[float, .
                 raise DataError(f"{path}: row {row_number}: not a number: {text!r}") from None
             if not 0.0 <= value <= 1.0:
                 raise DataError(f"{path}: row {row_number}: {label} {text} outside [0, 1]")
-            values.append(value)
+            empty = False
+            yield (value,)
     except csv.Error as exc:
         raise DataError(f"{path}: row {row_number + 1}: {exc}") from None
     except UnicodeDecodeError as exc:  # no row: the decoder reads ahead of the rows
         raise DataError(f"{path}: {exc}") from None
-    if not values:
+    if empty:
         raise DataError(f"{path}: no {label} rows found")
-    return tuple(values)
 
 
-def read_loss_csv(path: str) -> tuple[float, ...]:
-    """Read losses from a single-column CSV with a required `loss` header."""
-    return _read_column(path, "loss", "loss")
+def read_loss_csv(path: str, *, reduce: Callable[[_Batches], _R] = _values) -> _R:
+    """Read losses from a single-column CSV with a required `loss` header.
+
+    Returns them as a tuple, or as ``reduce`` of an iterator over batches of
+    them, each a sequence of losses checked to lie in [0, 1].  ``reduce``
+    must let an exception raised while iterating pass through it: the read
+    may abandon it partway and call it again on a second pass over the file.
+    """
+    return _read_column(path, "loss", "loss", reduce)
 
 
 def read_pvalue_csv(path: str) -> tuple[float, ...]:
@@ -321,9 +370,8 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
         if args.losses is not None and getattr(args, flag) is not None:
             raise DataError(f"pass either --losses or --{flag}, not both")
     if args.losses is not None:
-        losses = read_loss_csv(args.losses)
-        n = len(losses)
-        rhat = math.fsum(losses) / n
+        n, total = read_loss_csv(args.losses, reduce=_count_and_sum)
+        rhat = total / n
     else:
         if args.rhat is None or args.n is None:
             raise DataError("pass --losses FILE, or both --rhat and --n")

@@ -15,8 +15,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # CI runs the snap, memo, step-record, table-layout and g_inverse properties, the
-# plain-argv parse, the --digits rounding (exact ties included) and the PRW/Bentkus
-# crossover again under this one: more examples, nothing else changed.
+# plain-argv parse, the --digits rounding (exact ties included), the PRW/Bentkus
+# crossover and the streamed count and sum of a loss file again under this one:
+# more examples, nothing else changed.
 settings.register_profile("ci", parent=settings.get_profile("default"), max_examples=1000)
 settings.load_profile("default")
 

@@ -155,6 +155,7 @@ PLAIN_ROWS = ("0", "1", "0.5", "0.125", " 0.25 ", "1e-3", "-0.0", "1.0", "0.1\t"
 ODD_ROWS = (
     "", "   ", '"0.5"', '"0,5"', "0.1,0.2", "\x1c0.5", "\u30000.5\u3000", "\x1c", "1_0",
     "0_5", "nan", "-nan", "inf", "-inf", "1.5", "-0.1", "oops", "0.5\x00", "\x00", '0.5"',
+    "1e308", "NaN", "INF",
 )
 # csv.field_size_limit() is 131072; the row scan takes a field of exactly that size
 LONG_ROWS = tuple("0." + "0" * (size - 2) for size in (131_071, 131_072, 131_073))
@@ -199,9 +200,9 @@ def read_outcome(read, path, *args):
 
 
 def row_scan(path, header, label):
-    """The csv row scan alone, over the file opened in text mode."""
+    """The values of the csv row scan alone, over the file opened in text mode."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        return cli._scan_rows(fh, path, header, label)
+        return tuple(itertools.chain.from_iterable(cli._scan_rows(fh, path, header, label)))
 
 
 @contextlib.contextmanager
@@ -259,6 +260,31 @@ class TestBulkRead:
         assert through_pipe(data, "loss", "loss") == (
             read_outcome(row_scan, str(path), "loss", "loss")
         )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=column_files(), batch=BATCH_BYTES)
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    def test_count_and_sum_match_the_tuple(self, tmp_path, monkeypatch, pipe, data, batch):
+        # pvalue --losses reduces the column as it reads it, one batch at a
+        # time: the count and the exact sum of the tuple, or the same error
+        monkeypatch.setattr(cli, "_BULK_BATCH_BYTES", batch)
+        file = tmp_path / "column.csv"
+        file.write_bytes(data)
+
+        def outcome(reduce):
+            with pipe_path(data) if pipe else contextlib.nullcontext(str(file)) as path:
+                try:
+                    n, total = reduce(path)
+                except DataError as exc:
+                    return str(exc).replace(path, "<path>")
+                return n, total.hex()
+
+        def from_tuple(path):
+            losses = read_loss_csv(path)
+            return len(losses), math.fsum(losses)
+
+        streamed = outcome(lambda path: read_loss_csv(path, reduce=cli._count_and_sum))
+        assert streamed == outcome(from_tuple)
 
     def test_a_pipe_is_held_once_and_a_file_never_whole(self, tmp_path):
         # about 4 MB of padded rows whose last row is quoted, so the bulk pass
@@ -426,7 +452,10 @@ class TestBulkRead:
             first = fh.read(16) + fh.readline()
             assert b"\r" not in first and fh.read() == b" \r0.75\n"
             fh.seek(0)
-            assert cli._read_plain_column(fh, "loss") is None
+            batches = cli._read_plain_column(fh, "loss")
+            assert next(batches) == [0.5, 0.25, 0.125]
+            with pytest.raises(cli._RowScan):
+                next(batches)
         assert read_outcome(cli._read_column, str(path), "loss", "loss") == (
             read_outcome(row_scan, str(path), "loss", "loss")
         )
@@ -570,6 +599,16 @@ class TestPvalue:
         code, _, err = run(capsys, "pvalue", "--losses", path, "--alpha", "0.1")
         assert code == 2
         assert "row 2" in err
+
+    @pytest.mark.parametrize("rows", [
+        ["nan", "2"], ["nan", "inf", "-inf"], ["nan", "1e308", "1e308"],
+    ], ids=["nan-2", "nan-inf", "nan-overflow"])
+    def test_a_nan_ahead_of_other_bad_losses_is_the_one_error(self, capsys, tmp_path, rows):
+        # a NaN hides later values from min and max, and in a sum the later
+        # ones can give inf - inf or an overflow; the first bad row is reported
+        path = write_losses(tmp_path, rows)
+        code, out, err = run(capsys, "pvalue", "--losses", path, "--alpha", "0.1")
+        assert (code, out, err) == (2, "", f"error: {path}: row 1: loss nan outside [0, 1]\n")
 
     def test_bad_alpha_exits_2(self, capsys):
         code, _, err = run(capsys, "pvalue", "--rhat", "0.1", "--n", "10", "--alpha", "1.5")
@@ -1295,3 +1334,16 @@ def test_validate_peak_memory_does_not_grow_with_reps():
     code, peak_kb = map(int, result.stderr.split()[-2:])
     assert code == 0, result.stderr
     assert peak_kb < 100 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_pvalue_losses_peak_memory_does_not_grow_with_the_file(tmp_path):
+    # 2e6 0/1 losses in a 4 MB file: a tuple of them would take 64 MB; the
+    # count and the sum are taken a batch at a time
+    path = tmp_path / "losses.csv"
+    path.write_text("loss\n" + "1\n0\n0\n0\n0\n0\n0\n0\n0\n0\n" * 200_000)
+    result = run_python("-c", PEAK_RSS_SCRIPT, "pvalue", "--losses", str(path), "--alpha", "0.1")
+    code, peak_kb = map(int, result.stderr.split()[-2:])
+    assert code == 0, result.stderr
+    assert result.stdout.splitlines()[1].startswith("0.1000,")
+    assert peak_kb < 40 * 1024
