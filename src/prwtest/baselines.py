@@ -37,14 +37,22 @@ def bentkus_pvalue(rhat: float, spec: TestSpec, *, clamp: bool = True) -> float:
     A clamped call with n * rhat at or past the cap makes no snap either.
     """
     rhat = _check_closed_unit(rhat, "rhat")
-    law, _, _, cap = record = spec._steps or spec._load_steps()
+    law, _, _, cap = spec._steps or spec._load_steps()
     if clamp:
-        if cap is None:  # racing threads store the same cap
-            cap = record[3] = _first_cdf(law.n, law.p, lambda x: math.e * x >= 1.0)
+        if cap is None:
+            cap = _bentkus_cap(spec)
         if spec.n * rhat >= cap:  # the cap is an integer: round and ceil both reach it
             return 1.0
     k = _snapped_ceil(spec.n, rhat)[0]
     return 1.0 if clamp and k >= cap else math.e * cdf(law, k)
+
+
+def _bentkus_cap(spec: TestSpec) -> int:
+    """The cap of the spec's law, the first k with e * cdf(k) >= 1, stored in its step record."""
+    law, _, _, cap = record = spec._steps or spec._load_steps()
+    if cap is None:  # racing threads store the same cap
+        cap = record[3] = _first_cdf(law.n, law.p, lambda x: math.e * x >= 1.0)
+    return cap
 
 
 def kl_bernoulli(a: float, b: float) -> float:

@@ -19,12 +19,14 @@ import math
 import operator
 import os
 import sys
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import (
     TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar,
 )
 
+from .baselines import _bentkus_cap
 from .baselines import compare  # noqa: F401  perfbench's tracer test reads cli.compare
 from .binomial import _check_closed_unit
 from .fwer import FwerPlan, bonferroni, fallback, fixed_sequence
@@ -335,9 +337,26 @@ def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
 _CURVE_COLUMNS = ("rhat", *(method.replace("-", "_") for method in PVALUE_METHODS))
 
 
-def _curves(grid: Sequence[float], spec: TestSpec) -> list[Sequence[float]]:
-    """The grid and each method's p-values over it: one column, and one pass, per method."""
-    return [grid, *([pvalue(r, spec) for r in grid] for pvalue in PVALUE_METHODS.values())]
+def _curves(grid: Sequence[float], spec: TestSpec) -> list[list[float]]:
+    """Each method's p-values over the grid up to its flat point, one pass per method.
+
+    A method's flat point is the first grid point at which the scalar's first test
+    returns 1.0 by construction: rhat >= t_max for PRW, rhat >= alpha for tight
+    Hoeffding, n * rhat >= the cap for Bentkus.  Its column stops there; every cell
+    from there on is 1.0.  The points are found by bisection, so the grid must be
+    non-decreasing, as every grid the CLI builds is (start + i*step, i / 999 and
+    DEFAULT_COMPARE_GRID), and parse_grid has already rejected every value outside
+    [0, 1], on which a skipped call would have raised.
+    """
+    flat = {
+        "prw": bisect_left(grid, spec.t_max),
+        "hoeffding-tight": bisect_left(grid, spec.alpha),
+        # float(n) * rhat is the product the scalar's int * float gives
+        "bentkus": bisect_left(grid, _bentkus_cap(spec), key=float(spec.n).__mul__),
+    }
+    return [
+        [pvalue(r, spec) for r in grid[:flat[name]]] for name, pvalue in PVALUE_METHODS.items()
+    ]
 
 
 def _flag(value: bool) -> str:
@@ -347,14 +366,14 @@ def _flag(value: bool) -> str:
 def _emit(
     args: argparse.Namespace,
     columns: Sequence[str],
-    rows: Iterable[tuple],
-    template: str,
+    lines: Iterable[str],
     payload: Callable[[], dict],
 ) -> None:
     """Write a command's output: one JSON document, or a CSV table.
 
     ``payload()`` is called, and ``json`` imported, only for ``--format
-    json``.  CSV rows are written one at a time, each as ``template % row``.
+    json``.  The CSV table is its header, then ``lines``, each a row ending
+    in a newline, written one at a time.
     """
     if args.format == "json":
         import json
@@ -362,7 +381,7 @@ def _emit(
         return
     out = sys.stdout
     out.write(",".join(columns) + "\n")
-    out.writelines(template % row for row in rows)
+    out.writelines(lines)
 
 
 def cmd_pvalue(args: argparse.Namespace) -> int:
@@ -386,7 +405,7 @@ def cmd_pvalue(args: argparse.Namespace) -> int:
 
     digits = _resolve_digits(args.digits)
     row = tuple(round_half_away(v, digits) for v in (rhat, *values.values()))
-    _emit(args, ("rhat", *values), [row], ",".join(["%s"] * len(row)) + "\n", lambda: {
+    _emit(args, ("rhat", *values), [",".join(row) + "\n"], lambda: {
         "command": "pvalue", "n": spec.n, "alpha": spec.alpha, "rhat": rhat,
         "digits": digits, "unclamped": bool(args.unclamped),
         "pvalues": dict(zip(values, map(float, row[1:]))),
@@ -398,8 +417,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     spec = TestSpec(n=args.n, alpha=args.alpha)
     grid = DEFAULT_COMPARE_GRID if args.grid is None else parse_grid(args.grid)
     digits = _resolve_digits(args.digits)
-    rows = list(zip(*([round_half_away(v, digits) for v in c] for c in _curves(grid, spec))))
-    _emit(args, _CURVE_COLUMNS, rows, ",".join(["%s"] * len(_CURVE_COLUMNS)) + "\n", lambda: {
+    columns = [[round_half_away(v, digits) for v in c] for c in (grid, *_curves(grid, spec))]
+    for cells in columns:
+        if len(cells) < len(grid):
+            cells += [round_half_away(1.0, digits)] * (len(grid) - len(cells))
+    rows = list(zip(*columns))
+    _emit(args, _CURVE_COLUMNS, (",".join(row) + "\n" for row in rows), lambda: {
         "command": "compare", "n": spec.n, "alpha": spec.alpha, "digits": digits,
         "rows": [dict(zip(_CURVE_COLUMNS, map(float, row))) for row in rows],
     })
@@ -412,11 +435,19 @@ def cmd_plotdata(args: argparse.Namespace) -> int:
         grid = tuple(i / (DEFAULT_PLOT_POINTS - 1) for i in range(DEFAULT_PLOT_POINTS))
     else:
         grid = parse_grid(args.grid)
-    rows = list(zip(*_curves(grid, spec), [int(r > spec.t_max) for r in grid]))
-    # capped is 0/1 in CSV and true/false in JSON
-    _emit(args, (*_CURVE_COLUMNS, "capped"), rows, "%r," * len(_CURVE_COLUMNS) + "%d\n", lambda: {
+    curves = _curves(grid, spec)
+    size = len(grid)
+    capped = bisect_right(grid, spec.t_max)  # the first grid point past t_max
+    # Each column is its computed values, then 1.0 to the grid's end.  capped is 0/1 in
+    # CSV, its cell ending the line, and true/false in JSON; the rows are written as zipped
+    texts = (chain(map(repr, c), repeat("1.0", size - len(c))) for c in curves)
+    rows = zip(map(repr, grid), *texts, chain(repeat("0\n", capped), repeat("1\n", size - capped)))
+    _emit(args, (*_CURVE_COLUMNS, "capped"), map(",".join, rows), lambda: {
         "command": "plotdata", "n": spec.n, "alpha": spec.alpha, "cap": spec.t_max,
-        "rows": [{**dict(zip(_CURVE_COLUMNS, row)), "capped": row[-1] == 1} for row in rows],
+        "rows": [
+            {**dict(zip(_CURVE_COLUMNS, row)), "capped": row[0] > spec.t_max}
+            for row in zip(grid, *(chain(c, repeat(1.0, size - len(c))) for c in curves))
+        ],
     })
     return 0
 
@@ -437,7 +468,8 @@ def cmd_fwer(args: argparse.Namespace) -> int:
     outcome = _PROCEDURES[args.procedure](plan)
     rows = zip(range(len(plan.pvalues)), plan.pvalues, outcome.local_levels,
                map(_flag, outcome.rejected))
-    _emit(args, ("index", "pvalue", "local_level", "rejected"), rows, "%d,%r,%r,%s\n", lambda: {
+    lines = ("%d,%r,%r,%s\n" % row for row in rows)
+    _emit(args, ("index", "pvalue", "local_level", "rejected"), lines, lambda: {
         "command": "fwer", "procedure": args.procedure, "delta": plan.delta,
         "pvalues": plan.pvalues, "rejected": outcome.rejected,
         "local_levels": outcome.local_levels,
@@ -459,7 +491,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ]
     all_ok = all(row[3] == "true" for row in rows)
     # pass is a true/false cell in CSV and a boolean in JSON
-    _emit(args, columns, rows, "%r,%r,%r,%s\n", lambda: {
+    _emit(args, columns, ("%r,%r,%r,%s\n" % row for row in rows), lambda: {
         "command": "validate", "dist": args.dist, "n": spec.n, "alpha": spec.alpha,
         "method": args.method, "reps": report.reps, "seed": report.seed,
         "results": [{**dict(zip(columns, row)), "pass": row[3] == "true"} for row in rows],

@@ -16,7 +16,8 @@ settings.register_profile(
 )
 # CI runs the snap, memo, step-record, table-layout and g_inverse properties, the
 # plain-argv parse, the --digits rounding (exact ties included), the PRW/Bentkus
-# crossover and the streamed count and sum of a loss file again under this one:
+# crossover, the PRW/tight-Hoeffding cell shape, the streamed count and sum of a
+# loss file and the byte parity of plotdata and compare again under this one:
 # more examples, nothing else changed.
 settings.register_profile("ci", parent=settings.get_profile("default"), max_examples=1000)
 settings.load_profile("default")

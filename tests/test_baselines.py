@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -224,6 +225,41 @@ class TestRegionOrdering:
             if raw_bentkus == 0.0 or abs(k - k_c) <= 1e-9 * max(1.0, k_c):  # underflow, or a tie
                 continue
             assert (prw_pvalue(k / n, spec, clamp=False) < raw_bentkus) == (k < k_c)
+
+    @staticmethod
+    def cells_against_tight_hoeffding(n: int, alpha: float) -> str:
+        """One letter per k in [1, gamma - 2]: PRW's unclamped step p_k, constant on the cell
+        ((k - 1)/n, k/n], against tight Hoeffding, which rises inside it.  Z: p_k and HT(k/n)
+        are both 0.0; W: p_k is below HT at (k - 1)/n, so PRW is lower on the whole cell;
+        P: below HT(k/n) only, so PRW is lower on a right part of it; L: nowhere lower."""
+        spec = TestSpec(n, alpha)
+        letters = []
+        for k in range(1, spec.gamma - 1):
+            step = prw_pvalue(k / n, spec, clamp=False)
+            right = hoeffding_tight_pvalue(k / n, spec)
+            if step == 0.0 == right:
+                letters.append("Z")
+            elif step < hoeffding_tight_pvalue((k - 1) / n, spec):
+                letters.append("W")
+            else:
+                letters.append("P" if step < right else "L")
+        return "".join(letters)
+
+    @given(n=st.integers(1, 3000), alpha=st.floats(0.01, 0.9))
+    @example(n=100, alpha=0.1)
+    @example(n=10_000, alpha=0.1)  # ZPWPL: the first 87 steps underflow with HT(k/n)
+    def test_cells_against_tight_hoeffding_follow_one_shape(self, n, alpha):
+        # Leftmost, both underflow or PRW loses; then PRW wins on part of a cell, on whole
+        # cells, on part again; near alpha tight Hoeffding is lower, and k = 1 may lose
+        assert re.fullmatch(r"Z*L?P*W*P*L*", self.cells_against_tight_hoeffding(n, alpha))
+
+    @pytest.mark.parametrize("n, alpha, band", [
+        (100, 0.1, None), (1000, 0.1, (16, 78)), (100, 0.5, (15, 40)),
+    ])
+    def test_whole_cell_band_stated_in_readme(self, n, alpha, band):
+        cells = self.cells_against_tight_hoeffding(n, alpha)
+        wins = [k for k, letter in enumerate(cells, start=1) if letter == "W"]
+        assert wins == (list(range(band[0], band[1] + 1)) if band else [])
 
 
 @given(

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import unittest.mock
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from prwtest.cli import (
     read_pvalue_csv,
     round_half_away,
 )
+from prwtest.baselines import _bentkus_cap, bentkus_pvalue, hoeffding_tight_pvalue
 from prwtest.mc import PVALUE_METHODS
 from prwtest.prw import TestSpec, prw_pvalue
 
@@ -666,13 +668,26 @@ class TestPlotdata:
         assert prw == [1.0] * 5  # n*alpha <= 1: the bound's domain is one point
 
 
-@pytest.mark.parametrize("argv, grid", [
+def first_test_holds(name: str, rhat: float, spec: TestSpec) -> bool:
+    """The scalar's first test: its clamped p-value at rhat is 1 by construction."""
+    if name == "prw":
+        return rhat >= spec.t_max
+    if name == "hoeffding-tight":
+        return rhat >= spec.alpha
+    return spec.n * rhat >= _bentkus_cap(spec)
+
+
+@pytest.mark.parametrize("argv, grid, counts", [
     (("plotdata", "--n", "1000", "--alpha", "0.1"),
-     [i / (cli.DEFAULT_PLOT_POINTS - 1) for i in range(cli.DEFAULT_PLOT_POINTS)]),
-    (("compare",), list(DEFAULT_COMPARE_GRID)),
-])
-def test_curves_call_each_method_once_per_grid_point(capsys, monkeypatch, argv, grid):
-    # perfbench's tracer counts these calls per layer, so each one must be a real one
+     [i / (cli.DEFAULT_PLOT_POINTS - 1) for i in range(cli.DEFAULT_PLOT_POINTS)],
+     {"prw": 99, "hoeffding-tight": 100, "bentkus": 97}),
+    (("compare",), list(DEFAULT_COMPARE_GRID), dict.fromkeys(PVALUE_METHODS, 45)),
+], ids=["plotdata", "compare"])
+def test_curves_call_each_method_once_per_grid_point_below_its_flat_point(
+    capsys, monkeypatch, argv, grid, counts
+):
+    # perfbench's tracer counts these calls per layer, so each one must be a real one; from a
+    # method's flat point on, its cells are 1.0 by the scalar's first test, and no call is made
     calls = {name: [] for name in PVALUE_METHODS}
     for name, pvalue in list(PVALUE_METHODS.items()):
         def counting(rhat, spec, *, _name=name, _pvalue=pvalue, **kwargs):
@@ -682,7 +697,126 @@ def test_curves_call_each_method_once_per_grid_point(capsys, monkeypatch, argv, 
         monkeypatch.setitem(PVALUE_METHODS, name, counting)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and len(out.splitlines()) == len(grid) + 1
-    assert calls == {name: grid for name in PVALUE_METHODS}
+    assert calls == {name: grid[:count] for name, count in counts.items()}
+    spec = TestSpec(*(100, 0.1) if len(argv) == 1 else (int(argv[2]), float(argv[4])))
+    for name, count in counts.items():
+        assert not any(first_test_holds(name, r, spec) for r in grid[:count])
+        assert all(first_test_holds(name, r, spec) for r in grid[count:])
+
+
+# Where a method's clamped p-value turns 1 by construction: t_max, alpha and the
+# Bentkus cap over n; a grid recipe picks a point as (which, ulps off it)
+FLAT_POINTS = ("t_max", "alpha", "cap")
+near_flat_point = st.tuples(st.sampled_from(FLAT_POINTS), st.integers(-1, 1))
+unit_floats = st.floats(0.0, 1.0)
+grid_recipes = st.one_of(
+    st.just(("default",)),
+    # any points, sorted, fed to the command in place of a parsed --grid (which turns a
+    # -0 start into 0.0)
+    st.tuples(st.just("points"), st.lists(
+        st.one_of(near_flat_point, unit_floats, st.just(-0.0)), max_size=40)),
+    # a start:step:stop --grid; no steps gives the one-point grid x:1:x
+    st.tuples(st.just("text"), st.one_of(near_flat_point, unit_floats, st.just("-0")),
+              st.floats(1e-9, 1.0), st.integers(0, 60)),
+    # a --grid wholly below, or wholly above, every flat point
+    st.tuples(st.sampled_from(["below", "above"]), st.integers(0, 60)),
+)
+
+
+def flat_point(spec: TestSpec, which: str, ulps: int) -> float:
+    x = {"t_max": spec.t_max, "alpha": spec.alpha, "cap": _bentkus_cap(spec) / spec.n}[which]
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return min(max(x, 0.0), 1.0)
+
+
+def grid_argv(recipe: tuple, spec: TestSpec) -> tuple[list[str], object]:
+    """The --grid=... argv of a recipe, and None, or the sorted points that stand in for what
+    parse_grid returns; a point or a start is a float or (which flat point, ulps off it)."""
+    def point(x):
+        return x if isinstance(x, float) else flat_point(spec, *x)
+
+    kind, *rest = recipe
+    if kind == "default":
+        return [], None
+    if kind == "points":
+        return ["--grid=points"], sorted(map(point, rest[0]))
+    if kind == "text":
+        start, step, count = rest
+        low = 0.0 if start == "-0" else point(start)
+        text = "-0" if start == "-0" else repr(low)
+        stop = min(low + count * step, 1.0) if count else low
+        return [f"--grid={text}:{step!r}:{stop!r}"], None
+    count = rest[0]
+    points = sorted(flat_point(spec, which, 0) for which in FLAT_POINTS)
+    if kind == "below":
+        low, high = 0.0, math.nextafter(points[0], 0.0)
+    else:
+        low, high = min(math.nextafter(points[-1], 1.0), 1.0), 1.0
+    step = (high - low) / count if count and high > low else 1.0
+    return [f"--grid={low!r}:{step!r}:{high!r}"], None
+
+
+def reference_output(command: str, spec: TestSpec, grid, fmt: str, digits: int) -> str:
+    """The command's stdout built the plain way: one scalar call per method per grid point,
+    each unrounded cell through %r and each rounded cell through round_half_away."""
+    pvalues = [[pvalue(r, spec) for r in grid]
+               for pvalue in (prw_pvalue, hoeffding_tight_pvalue, bentkus_pvalue)]
+    columns = ["rhat", "prw", "hoeffding_tight", "bentkus"]
+    if command == "plotdata":
+        rows = list(zip(grid, *pvalues, [int(r > spec.t_max) for r in grid]))
+        if fmt == "json":
+            return json.dumps({
+                "command": "plotdata", "n": spec.n, "alpha": spec.alpha, "cap": spec.t_max,
+                "rows": [{**dict(zip(columns, row)), "capped": row[-1] == 1} for row in rows],
+            }) + "\n"
+        return "rhat,prw,hoeffding_tight,bentkus,capped\n" + "".join(
+            "%r,%r,%r,%r,%d\n" % row for row in rows)
+    rows = list(zip(*([round_half_away(v, digits) for v in c] for c in (grid, *pvalues))))
+    if fmt == "json":
+        return json.dumps({
+            "command": "compare", "n": spec.n, "alpha": spec.alpha, "digits": digits,
+            "rows": [dict(zip(columns, map(float, row))) for row in rows],
+        }) + "\n"
+    return "rhat,prw,hoeffding_tight,bentkus\n" + "".join("%s,%s,%s,%s\n" % row for row in rows)
+
+
+class TestCurveParity:
+    @given(n=st.integers(1, 3000),
+           alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           recipe=grid_recipes, digits=st.integers(0, MAX_DIGITS))
+    @example(n=2, alpha=0.7, recipe=("points", [("t_max", -1), ("t_max", 0), ("t_max", 1)]),
+             digits=4)
+    @example(n=1, alpha=0.5, recipe=("text", ("cap", 0), 0.25, 4), digits=4)
+    @example(n=10, alpha=5e-324, recipe=("text", "-0", 0.1, 10), digits=27)
+    @example(n=1000, alpha=0.1, recipe=("default",), digits=4)
+    @example(n=400, alpha=0.3, recipe=("default",), digits=4)
+    def test_stdout_matches_one_scalar_call_per_point(self, n, alpha, recipe, digits):
+        spec = TestSpec(n, alpha)
+        grid_flags, points = grid_argv(recipe, spec)
+        for command, fmt in itertools.product(("plotdata", "compare"), ("csv", "json")):
+            argv = [command, "--n", str(n), "--alpha", repr(alpha), *grid_flags, "--format", fmt]
+            argv += ["--digits", str(digits)] if command == "compare" else []
+            if points is not None:
+                grid = tuple(points)
+            elif grid_flags:
+                try:
+                    grid = parse_grid(grid_flags[0].partition("=")[2])
+                except DataError as exc:  # a stop rounded past 1: the same one error line
+                    expected = "", f"error: {exc}\n"
+                    grid = None
+            else:
+                grid = DEFAULT_COMPARE_GRID if command == "compare" else tuple(
+                    i / (cli.DEFAULT_PLOT_POINTS - 1) for i in range(cli.DEFAULT_PLOT_POINTS))
+            if grid is not None:
+                expected = reference_output(command, spec, grid, fmt, digits), ""
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    contextlib.nullcontext() if points is None else \
+                    unittest.mock.patch.object(cli, "parse_grid", lambda text: grid):
+                code = main(argv)
+            assert (out.getvalue(), err.getvalue()) == expected, argv
+            assert code == (2 if err.getvalue() else 0)
 
 
 class TestFwer:
@@ -1347,3 +1481,16 @@ def test_pvalue_losses_peak_memory_does_not_grow_with_the_file(tmp_path):
     assert code == 0, result.stderr
     assert result.stdout.splitlines()[1].startswith("0.1000,")
     assert peak_kb < 40 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_plotdata_peak_memory_holds_no_table_of_rows():
+    # 2e5 rows: a list of them, and of every cell, would take about 48 MB; the rows are
+    # written as they are zipped, and each column is computed only up to its flat point
+    result = run_python("-c", PEAK_RSS_SCRIPT, "plotdata", "--n", "1000", "--alpha", "0.1",
+                        "--grid", "0:0.000005:1")
+    code, peak_kb = map(int, result.stderr.split()[-2:])
+    assert code == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 200_002 and lines[-1] == "1.0,1.0,1.0,1.0,1"
+    assert peak_kb < 35 * 1024
