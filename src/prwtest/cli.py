@@ -20,10 +20,11 @@ import operator
 import os
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from types import SimpleNamespace
 from typing import (
-    TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar,
+    TYPE_CHECKING, BinaryIO, Callable, Generator, Iterable, Iterator, Optional, Sequence, TextIO,
+    TypeVar,
 )
 
 from .baselines import _bentkus_cap
@@ -58,10 +59,6 @@ class DataError(Exception):
     """Malformed input data or flags; maps to exit code 2."""
 
 
-class _RowScan(Exception):
-    """The bulk pass declines the file: the csv row scan reads it instead."""
-
-
 # A column arrives at its reduction as batches of values, each checked to lie in [0, 1]
 _Batches = Iterator[Sequence[float]]
 _R = TypeVar("_R")
@@ -90,15 +87,14 @@ def _read_column(
 ) -> _R:
     """``reduce`` of the values of a single-column CSV with a required header.
 
-    UTF-8 (BOM tolerated), LF or CRLF line endings.  Any malformed or
-    out-of-range value raises DataError naming the offending data row.
+    UTF-8 (BOM tolerated), LF, CRLF or lone-CR line endings.  Any malformed
+    or out-of-range value raises DataError naming the offending data row.
     The file is opened once, and a pipe is read whole into memory first, so
-    that both take one path.  A plain file is parsed in one bulk pass, a
-    batch of whole lines at a time; every other file, and every error, goes
-    through the csv row scan, which rereads the file from its start and
-    gives the same values.  ``reduce`` consumes the values as they are read;
-    when the bulk pass declines a file partway, an exception leaves the
-    reduction, which then runs again over the row scan.
+    that both take one path.  ``reduce`` runs once, over the checked batches
+    in file order.  A plain file is parsed in one bulk pass, a batch of whole
+    lines at a time; when that pass declines a file, the csv row scan, the
+    source of every error, rereads it from its start and goes on past the
+    values the pass gave, which it gives the same.
     """
     try:
         fh = open(path, "rb")
@@ -107,33 +103,37 @@ def _read_column(
     with fh:
         if not fh.seekable():  # a pipe: kept whole, so the row scan can reread it
             fh = io.BufferedReader(io.BytesIO(fh.read()))
-        try:
-            return reduce(_read_plain_column(fh, header))
-        except _RowScan:
-            pass
-        # A fresh buffer over the rewound file, so the text layer reads it in
-        # the same chunks, and reports a decode error at the same position,
-        # as over a file it opened itself
-        fh.raw.seek(0)
-        source = io.BufferedReader(fh.raw)
-        with io.TextIOWrapper(source, encoding="utf-8-sig", newline="") as text:
-            return reduce(_scan_rows(text, path, header, label))
+
+        def batches() -> _Batches:
+            given = yield from _read_plain_column(fh, header)
+            if given is not None:
+                # A fresh buffer over the rewound file, so the text layer reads it in
+                # the same chunks, and reports a decode error at the same position,
+                # as over a file it opened itself
+                fh.raw.seek(0)
+                source = io.BufferedReader(fh.raw)
+                with io.TextIOWrapper(source, encoding="utf-8-sig", newline="") as text:
+                    yield from islice(_scan_rows(text, path, header, label), given, None)
+
+        return reduce(batches())
 
 
 # Bytes of whole lines the bulk pass parses at a time, so that what it holds
-# stays bounded whatever the size of the file.
-_BULK_BATCH_BYTES = 1 << 18
+# stays bounded, and in cache, whatever the size of the file.
+_BULK_BATCH_BYTES = 1 << 16
 
 
-def _read_plain_column(fh: BinaryIO, header: str) -> Iterator[list[float]]:
-    """The column's values in one bulk pass, a batch at a time, or _RowScan to leave the file.
+def _read_plain_column(fh: BinaryIO, header: str) -> Generator[list[float], None, Optional[int]]:
+    """The column's values in one bulk pass, a batch at a time; the count yielded if it declines.
 
     Reads ``fh`` in batches of whole lines and yields each batch's values,
     holding one batch at a time: a batch is one read of _BULK_BATCH_BYTES
-    and the rest of its last line, split into lines once.  Only a file with
+    and the rest of its last line, split into lines once, and is yielded
+    only once every line of it has passed the checks, so the row scan gives
+    the same values on those lines.  Returns None at the end of a file with
     no lone CR, no letter n or N, no line at the csv field limit, the header
     on its first line, one in-range number or nothing but ASCII whitespace
-    on every other line and at least one number qualifies.
+    on every other line and at least one number.
     float() rejects quotes, commas and every non-ASCII byte, so each line it
     takes decodes to itself and is one unquoted csv field, and it strips
     the same whitespace as the row scan's str.strip().  The row scan skips
@@ -142,23 +142,23 @@ def _read_plain_column(fh: BinaryIO, header: str) -> Iterator[list[float]]:
     import csv  # loaded by the first read; the limit is read anew, so a changed one holds
     limit = csv.field_size_limit()
     at_header = True
-    empty = True
+    given = 0
     while chunk := fh.read(_BULK_BATCH_BYTES):
         if not chunk.endswith(b"\n"):  # finish the batch's last line
             chunk += fh.readline()
         # the row scan splits at a lone CR; most files hold no CR, and one find says so
         if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-            raise _RowScan
+            return given
         # float() reads a NaN only from text with an n, and min and max cannot
         # see a NaN; neither header holds an n
         if b"n" in chunk or b"N" in chunk:
-            raise _RowScan
+            return given
         lines = chunk.splitlines(keepends=True)  # with no lone CR, split at each LF
         if len(chunk) >= limit and max(map(len, lines)) >= limit:
-            raise _RowScan
+            return given
         if at_header:
             if lines.pop(0).removeprefix(codecs.BOM_UTF8).strip() != header.encode():
-                raise _RowScan
+                return given
             at_header = False
         batch: list[float] = []
         rest = iter(lines)
@@ -172,17 +172,16 @@ def _read_plain_column(fh: BinaryIO, header: str) -> Iterator[list[float]]:
                 # extend keeps what it appended before the error; were that
                 # ever not so, the count would differ and the row scan decide
                 if lines[failed].strip() or len(batch) != failed - skipped:
-                    raise _RowScan
+                    return given
                 skipped += 1
         if batch:
             # with no NaN, max and min are exact; float() is negative only after a minus sign
             if max(batch) > 1.0 or (b"-" in chunk and min(batch) < 0.0):
-                raise _RowScan
-            empty = False
+                return given
+            given += len(batch)
             yield batch
         del lines, batch  # so that the next batch is split and parsed without this one
-    if empty:
-        raise _RowScan
+    return None if given else 0  # a file of no value: the row scan reports it
 
 
 def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> Iterator[tuple[float]]:
@@ -225,10 +224,8 @@ def _scan_rows(fh: TextIO, path: str, header: str, label: str) -> Iterator[tuple
 def read_loss_csv(path: str, *, reduce: Callable[[_Batches], _R] = _values) -> _R:
     """Read losses from a single-column CSV with a required `loss` header.
 
-    Returns them as a tuple, or as ``reduce`` of an iterator over batches of
-    them, each a sequence of losses checked to lie in [0, 1].  ``reduce``
-    must let an exception raised while iterating pass through it: the read
-    may abandon it partway and call it again on a second pass over the file.
+    Returns them as a tuple, or as ``reduce`` of one iterator over batches
+    of them in file order, each a sequence of losses checked to lie in [0, 1].
     """
     return _read_column(path, "loss", "loss", reduce)
 

@@ -1,6 +1,10 @@
 """Tests for the Monte Carlo harness: determinism, validity, power ordering."""
 
+import csv
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,10 @@ from prwtest.mc import (
     simulate_superuniformity,
 )
 from prwtest.prw import TestSpec, prw_pvalue
+
+from _oracle import binom_pmf_exact
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # Dyadic support values (counted rows), off-lattice ones (averaged rows), -0.0,
@@ -160,6 +168,35 @@ class TestLossDistribution:
         assert abs(x.mean() - d.mean) < 0.003
 
 
+def pinned_bernoulli_exceedances():
+    """(where, p, n, alpha, method, reps, delta, exceedance) of every pinned Bernoulli run."""
+    runs = []
+    golden = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text())
+    for case in golden["cases"]:
+        flags = dict(zip(case["argv"][1::2], case["argv"][2::2]))
+        if case["argv"][:1] != ["validate"] or case["code"] not in (0, 1):
+            continue
+        kind, _, p = flags.get("--dist", "").partition(":")
+        if kind != "bernoulli":
+            continue
+        if case["stdout"].startswith("{"):
+            results = [(r["delta"], r["exceedance"]) for r in json.loads(case["stdout"])["results"]]
+        else:
+            rows = csv.DictReader(case["stdout"].splitlines())
+            results = [(float(r["delta"]), float(r["exceedance"])) for r in rows]
+        where = f"golden-seed-{flags.get('--seed', '0')}-n-{flags['--n']}"
+        runs += [(where, float(p), int(flags["--n"]), float(flags["--alpha"]),
+                  flags.get("--method", "prw"), int(flags["--reps"]), delta, exceedance)
+                 for delta, exceedance in results]
+    # perfbench's mc workload: validate --n 100 --alpha 0.1 --reps 100000, the default --delta
+    pinned = json.loads((ROOT / "perfbench" / "expected_mc.json").read_text())["bernoulli:0.11"]
+    runs += [("expected_mc", 0.11, 100, 0.1, "prw", 100_000, delta, exceedance)
+             for delta, exceedance in zip((0.01, 0.05, 0.1, 0.2), pinned)]
+    # test_losses_near_one_never_reject
+    runs += [("near_one", 0.999, 10, 0.1, "prw", 1000, delta, 0.0) for delta in (0.05, 0.2)]
+    return list(dict.fromkeys(runs))  # the csv and json runs of one case pin the same values
+
+
 class TestSuperuniformity:
     DIST = LossDistribution.bernoulli(0.2)
     SPEC = TestSpec(n=50, alpha=0.1)
@@ -187,6 +224,22 @@ class TestSuperuniformity:
             "prw", (0.05, 0.2), 1000, seed=3,
         )
         assert rep.exceedance == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "where, p, n, alpha, method, reps, delta, pinned", pinned_bernoulli_exceedances()
+    )
+    def test_pinned_bernoulli_exceedance_is_near_the_exact_one(
+        self, where, p, n, alpha, method, reps, delta, pinned
+    ):
+        # A Bernoulli row's rhat is k / n with k ~ Bin(n, p), so the exact exceedance is
+        # the binomial mass of the k whose p-value is at most delta: no sampling noise
+        spec = TestSpec(n=n, alpha=alpha)
+        fn = mc.PVALUE_METHODS[method]
+        exact = sum(binom_pmf_exact(n, p, k) for k in range(n + 1) if fn(k / n, spec) <= delta)
+        if exact in (0, 1):
+            assert pinned == exact
+        else:
+            assert abs(Fraction(pinned) - exact) <= 4 * math.sqrt(exact * (1 - exact) / reps)
 
     def test_single_rep_degenerate(self):
         rep = simulate_superuniformity(
