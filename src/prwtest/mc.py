@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import Counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -146,14 +145,15 @@ class McReport(Record):
     __slots__ = _fields = ("delta_grid", "exceedance", "stderr", "reps", "seed")
 
 
-def _sample_pvalues(
-    dist: LossDistribution, spec: TestSpec, methods: Sequence[str], reps: int, seed: int
-) -> Iterator[dict[str, np.ndarray]]:
-    """Per-replication p-values for every method, one chunk of rows at a time.
+def _exceedance_counts(
+    dist: LossDistribution, spec: TestSpec, methods: Iterable[str], deltas: Sequence[float],
+    reps: int, seed: int,
+) -> dict[str, list[int]]:
+    """How many replications have each method's p-value at most each delta.
 
     Every method sees the same losses.  numpy fills a block row after row
     from the stream, so the chunks, in order, are the rows of the single
-    ``(reps, n)`` block draw.
+    ``(reps, n)`` block draw; each is reduced to counts before the next.
     """
     if spec.n > sys.maxsize:  # the largest dimension of a numpy array
         raise ValueError(f"n must be at most {sys.maxsize}, got {spec.n}")
@@ -163,11 +163,15 @@ def _sample_pvalues(
     import numpy as np  # not at module level: commands that never draw never load it
 
     rng = np.random.default_rng(operator.index(seed))
+    counts = {name: [0] * len(deltas) for name in fns}
     rows = max(1, _CHUNK_VALUES // spec.n)
     for start in range(0, reps, rows):
         rhats = dist._row_means(rng, min(rows, reps - start), spec.n)
         rhats = rhats.tolist()  # Python floats are cheaper to pass than np.float64
-        yield {name: np.array([fn(r, spec) for r in rhats]) for name, fn in fns.items()}
+        for name, fn in fns.items():
+            pvals = np.array([fn(r, spec) for r in rhats])
+            counts[name] = [c + int((pvals <= d).sum()) for c, d in zip(counts[name], deltas)]
+    return counts
 
 
 def simulate_superuniformity(
@@ -192,10 +196,7 @@ def simulate_superuniformity(
     grid = tuple(_check_open_unit(d, "delta values") for d in delta_grid)
     if not grid:
         raise ValueError("delta_grid must be non-empty")
-    counts = [0] * len(grid)
-    for chunk in _sample_pvalues(dist, spec, [method], reps, seed):
-        (pvals,) = chunk.values()
-        counts = [c + int((pvals <= d).sum()) for c, d in zip(counts, grid)]
+    (counts,) = _exceedance_counts(dist, spec, [method], grid, reps, seed).values()
     exceedance = tuple(c / reps for c in counts)
     stderr = tuple(math.sqrt(e * (1.0 - e) / reps) for e in exceedance)
     return McReport(
@@ -206,7 +207,7 @@ def simulate_superuniformity(
 def simulate_power(
     dist: LossDistribution,
     spec: TestSpec,
-    methods: Sequence[str],
+    methods: Iterable[str],
     delta: float,
     reps: int,
     seed: int,
@@ -224,10 +225,8 @@ def simulate_power(
     delta = _check_open_unit(delta, "delta")
     if isinstance(methods, str):
         raise ValueError(f"methods must be a sequence of method names, not the string {methods!r}")
+    methods = tuple(methods)  # once: an iterator is truthy even when it is empty
     if not methods:
         raise ValueError("methods must be non-empty")
-    counts: Counter[str] = Counter()
-    for chunk in _sample_pvalues(dist, spec, methods, reps, seed):
-        for name, pvals in chunk.items():
-            counts[name] += int((pvals <= delta).sum())
-    return {name: count / reps for name, count in counts.items()}
+    counts = _exceedance_counts(dist, spec, methods, (delta,), reps, seed)
+    return {name: count / reps for name, (count,) in counts.items()}

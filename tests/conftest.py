@@ -17,8 +17,8 @@ settings.register_profile(
 # CI runs the snap, memo, step-record, table-layout and g_inverse properties, the
 # plain-argv parse, the --digits rounding (exact ties included), the PRW/Bentkus
 # crossover, the PRW/tight-Hoeffding cell shape, the streamed count and sum of a
-# loss file and the byte parity of plotdata and compare again under this one:
-# more examples, nothing else changed.
+# loss file, the byte parity of plotdata and compare and the Monte Carlo chunks
+# against one block draw again under this one: more examples, nothing else changed.
 settings.register_profile("ci", parent=settings.get_profile("default"), max_examples=1000)
 settings.load_profile("default")
 

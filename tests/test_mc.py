@@ -355,11 +355,20 @@ class TestPower:
             )
 
     def test_rejects_empty_methods(self):
-        with pytest.raises(ValueError):
-            simulate_power(
-                LossDistribution.bernoulli(0.01), TestSpec(n=10, alpha=0.1),
-                [], delta=0.05, reps=10, seed=0,
-            )
+        # an empty iterator too, though it is truthy
+        for methods in ([], iter([])):
+            with pytest.raises(ValueError, match="^methods must be non-empty$"):
+                simulate_power(
+                    LossDistribution.bernoulli(0.01), TestSpec(n=10, alpha=0.1),
+                    methods, delta=0.05, reps=10, seed=0,
+                )
+
+    def test_a_generator_of_methods_gives_the_rates_of_the_list(self):
+        args = (LossDistribution.bernoulli(0.03), TestSpec(n=80, alpha=0.1))
+        names = ["prw", "bentkus", "hoeffding-tight"]
+        rates = simulate_power(*args, (name for name in names), 0.1, 500, 4)
+        assert rates == simulate_power(*args, names, 0.1, 500, 4)
+        assert list(rates) == names
 
     def test_rejects_a_bare_method_name(self):
         # a string is a sequence of one-letter names; the error names the string instead
@@ -406,34 +415,102 @@ STREAM_LAWS = {
 }
 
 
+def assert_chunks_match_a_single_block_draw(law, chunk_values, n, reps, rows, grid):
+    """Chunked draws reproduce the single (reps, n) block bit for bit: every run draws
+    chunks of `rows` rows in order, the prw entry receives the block's row means, and
+    each method's exceedance and power rate is the block's."""
+    dist, seed = STREAM_LAWS[law], 20241018
+    block_rhats = dist.sample(np.random.default_rng(seed), (reps, n)).mean(axis=1)
+    methods = dict(mc.PVALUE_METHODS)
+
+    def reference(spec, method, delta):
+        pvals = np.array([methods[method](r, spec) for r in block_rhats])
+        return float(np.mean(pvals <= delta))
+
+    drawn, seen = [], []
+    row_means = LossDistribution._row_means
+
+    def record_rows(self, rng, rows, n):
+        drawn.append(rows)
+        return row_means(self, rng, rows, n)
+
+    def record_prw(rhat, spec):
+        seen.append(rhat)
+        return methods["prw"](rhat, spec)
+
+    spec = TestSpec(n=n, alpha=dist.mean / 2)
+    alt = TestSpec(n=n, alpha=(1.0 + dist.mean) / 2)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(mc, "_CHUNK_VALUES", chunk_values)
+        m.setattr(LossDistribution, "_row_means", record_rows)
+        m.setitem(mc.PVALUE_METHODS, "prw", record_prw)
+        for method in methods:
+            rep = simulate_superuniformity(dist, spec, method, grid, reps, seed)
+            assert rep.exceedance == tuple(reference(spec, method, d) for d in grid)
+        for delta in grid:
+            rates = simulate_power(dist, alt, list(methods), delta, reps, seed)
+            assert rates == {method: reference(alt, method, delta) for method in methods}
+    runs = len(methods) + len(grid)
+    assert drawn == [min(rows, reps - i) for i in range(0, reps, rows)] * runs
+    # prw saw the block's rhats once in its superuniformity run and once per power run
+    assert np.array(seen).tobytes() == np.tile(block_rhats, 1 + len(grid)).tobytes()
+
+
 @pytest.mark.parametrize("law", STREAM_LAWS)
 @pytest.mark.parametrize("chunk_values, n, reps, rows", [
     (10, 3, 50, 3),     # rows summed by a plain loop
     (91, 13, 50, 7),    # rows summed by numpy's unrolled pairwise loop
     (100, 150, 9, 1),   # n > _CHUNK_VALUES, and rows split by pairwise recursion
 ])
-def test_row_chunks_match_a_single_block_draw(monkeypatch, law, chunk_values, n, reps, rows):
-    """Chunked draws reproduce the single (reps, n) block bit for bit."""
-    dist, seed = STREAM_LAWS[law], 20241018
-    monkeypatch.setattr(mc, "_CHUNK_VALUES", chunk_values)
-    block_rhats = dist.sample(np.random.default_rng(seed), (reps, n)).mean(axis=1)
+def test_row_chunks_match_a_single_block_draw(law, chunk_values, n, reps, rows):
+    assert_chunks_match_a_single_block_draw(law, chunk_values, n, reps, rows, (0.05, 0.3, 0.9))
 
-    def reference(spec, method, delta):
-        pvals = np.array([mc.PVALUE_METHODS[method](r, spec) for r in block_rhats])
-        return float(np.mean(pvals <= delta))
 
-    spec = TestSpec(n=n, alpha=dist.mean / 2)
-    with monkeypatch.context() as m:
-        m.setitem(mc.PVALUE_METHODS, "prw", lambda rhat, spec: rhat)
-        chunks = [c["prw"] for c in mc._sample_pvalues(dist, spec, ["prw"], reps, seed)]
-    assert [len(c) for c in chunks] == [min(rows, reps - i) for i in range(0, reps, rows)]
-    assert np.concatenate(chunks).tobytes() == block_rhats.tobytes()
+@pytest.mark.parametrize("law", STREAM_LAWS)
+@given(
+    chunk_values=st.integers(1, 400),
+    n=st.integers(1, 200),
+    reps=st.integers(1, 40),
+    grid=st.lists(
+        st.sampled_from((0.05, 0.3, 0.9)) | st.floats(0, 1, exclude_min=True, exclude_max=True),
+        min_size=1, max_size=3,
+    ),
+)
+def test_any_row_chunks_match_a_single_block_draw(law, chunk_values, n, reps, grid):
+    """The pinned cases above for any chunk size, row length, replication count and
+    delta grid: a chunk holds _CHUNK_VALUES // n rows, and at least one."""
+    rows = max(1, chunk_values // n)
+    assert_chunks_match_a_single_block_draw(law, chunk_values, n, reps, rows, tuple(grid))
 
-    grid = (0.05, 0.3, 0.9)
-    for method in mc.PVALUE_METHODS:
-        rep = simulate_superuniformity(dist, spec, method, grid, reps, seed)
-        assert rep.exceedance == tuple(reference(spec, method, d) for d in grid)
 
-    alt = TestSpec(n=n, alpha=(1.0 + dist.mean) / 2)
-    rates = simulate_power(dist, alt, list(mc.PVALUE_METHODS), 0.3, reps, seed)
-    assert rates == {method: reference(alt, method, 0.3) for method in mc.PVALUE_METHODS}
+def test_each_method_is_called_once_per_replication(monkeypatch):
+    """The contract perfbench reads as mc.pvalue_calls_per_rep: one scalar call per
+    replication and method, over several chunks and a partial last one."""
+    calls = dict.fromkeys(mc.PVALUE_METHODS, 0)
+    for name, fn in list(mc.PVALUE_METHODS.items()):
+        def counted(rhat, spec, name=name, fn=fn):
+            calls[name] += 1
+            return fn(rhat, spec)
+        monkeypatch.setitem(mc.PVALUE_METHODS, name, counted)
+    monkeypatch.setattr(mc, "_CHUNK_VALUES", 1000)  # 20 rows of n = 50 a chunk
+    spec, reps = TestSpec(n=50, alpha=0.1), 45
+    simulate_power(LossDistribution.bernoulli(0.05), spec, list(calls), 0.05, reps, 1)
+    assert calls == dict.fromkeys(calls, reps)
+    for method in list(calls):
+        calls.update(dict.fromkeys(calls, 0))
+        simulate_superuniformity(LossDistribution.bernoulli(0.2), spec, method, (0.05, 0.2), reps, 1)
+        assert calls == {name: reps if name == method else 0 for name in calls}
+
+
+def test_a_pvalue_equal_to_delta_is_an_exceedance():
+    """P(p <= delta) counts ties: at delta = p(0), every method's smallest p-value, the
+    exceedance and the power are the share of rows with no loss, not 0."""
+    dist, n, reps, seed = LossDistribution.bernoulli(0.2), 20, 2000, 6
+    null, alt = TestSpec(n=n, alpha=0.1), TestSpec(n=n, alpha=0.5)
+    no_loss = float(np.mean(dist.sample(np.random.default_rng(seed), (reps, n)).max(axis=1) == 0))
+    assert no_loss > 0
+    for method, fn in mc.PVALUE_METHODS.items():
+        assert fn(0.0, null) < fn(1 / n, null) and fn(0.0, alt) < fn(1 / n, alt)
+        rep = simulate_superuniformity(dist, null, method, (fn(0.0, null),), reps, seed)
+        assert rep.exceedance == (no_loss,)
+        assert simulate_power(dist, alt, [method], fn(0.0, alt), reps, seed) == {method: no_loss}
